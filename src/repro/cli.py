@@ -856,7 +856,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--batch-lanes", type=int, default=1, metavar="N",
                    help="run up to N scenarios of one image as lanes of "
                         "the batched simulator (in-process; ignores "
-                        "--jobs); 1 keeps the scalar path")
+                        "--jobs; faster on short runs, slower on long "
+                        "ones such as tripledes); 1 keeps the scalar path")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="journal cells into this resumable result store")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

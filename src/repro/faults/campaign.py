@@ -717,7 +717,10 @@ def run_campaign(
     level in lockstep — instead of fanning out across ``jobs`` workers
     (``jobs``/``retry``/``timeout``/``hedge`` are ignored in this mode).
     Classification, journaling and resume semantics are unchanged and the
-    matrix is bit-identical to a scalar run of the same seed.
+    matrix is bit-identical to a scalar run of the same seed. A batch
+    pays executor set-up once for all its lanes, but a batched lane-cycle
+    costs about as much as a scalar one: batching is faster on short runs
+    and slower on long ones (Triple-DES).
     """
     import dataclasses as _dc
     import sys

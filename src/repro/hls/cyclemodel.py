@@ -73,16 +73,23 @@ class Channel:
         return self.unbounded or len(self.queue) < self.depth
 
     def push(self, value) -> None:
-        if not self.can_push():
-            raise SimulationError(f"push to full channel {self.name}", code="RPR-X201")
-        self.pushes += 1
-        values = [value]
+        q = self.queue
         if self.faults:
+            if not self.can_push():
+                raise SimulationError(f"push to full channel {self.name}", code="RPR-X201")
+            self.pushes += 1
+            values = [value]
             now = self._now()
             for fault in self.faults:
                 values = [out for v in values for out in fault.on_push(v, self, now)]
-        self.queue.extend(values)
-        self.max_occupancy = max(self.max_occupancy, len(self.queue))
+            q.extend(values)
+        else:
+            if not self.unbounded and len(q) >= self.depth:
+                raise SimulationError(f"push to full channel {self.name}", code="RPR-X201")
+            self.pushes += 1
+            q.append(value)
+        if len(q) > self.max_occupancy:
+            self.max_occupancy = len(q)
 
     def can_pop(self) -> bool:
         return bool(self.queue)

@@ -20,6 +20,7 @@ The generator's return value is an :class:`InterpResult`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -210,7 +211,7 @@ def run_to_completion(
     and everything written per output stream.
     """
     interp = Interp(func, ext_funcs=ext_funcs, max_steps=max_steps)
-    inputs = {k: list(v) for k, v in (stream_inputs or {}).items()}
+    inputs = {k: deque(v) for k, v in (stream_inputs or {}).items()}
     outputs: dict[str, list[int]] = {s: [] for s in func.stream_names()}
     gen = interp.run()
     try:
@@ -220,7 +221,7 @@ def run_to_completion(
             if kind == "read":
                 queue = inputs.get(event[1])
                 if queue:
-                    event = gen.send((1, queue.pop(0)))
+                    event = gen.send((1, queue.popleft()))
                 else:
                     event = gen.send((0, 0))
             elif kind == "write":

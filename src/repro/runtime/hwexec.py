@@ -24,7 +24,10 @@ completion.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 from repro.faults.runtime import RuntimeFaultInjector
 from repro.hls.compiler import CompiledProcess
@@ -146,11 +149,13 @@ class _Arbiter:
     the member's values placed at its slot offsets."""
 
     pending = 0  # drain-condition compatibility with _Collector
+    out = None  # merges onto a tap, not an application stream
 
     def __init__(self, spec, taps: dict[str, Channel]):
         self.spec = spec
         self.taps = taps
         self.rr = 0
+        self.in_qs = [taps[name].queue for name in spec.inputs]
 
     def tick(self) -> bool:
         n = len(self.spec.inputs)
@@ -211,6 +216,7 @@ class _Collector:
         self.taps = taps
         self.out = out
         self.pending = 0
+        self.in_qs = [taps[name].queue for name, _bit in spec.inputs]
 
     def tick(self) -> bool:
         active = False
@@ -225,6 +231,197 @@ class _Collector:
             self.pending = 0
             active = True
         return active
+
+
+_STREAM_OPS = attrgetter("stream_ops")
+
+#: stream roles whose words go to the CPU assertion notifier
+_FAIL_ROLES = ("assert_code", "assert_bitmask")
+
+
+def _notify_failure(image: HardwareImage, result: HwResult, stream: str,
+                    word: int, cycle: int) -> bool:
+    """CPU-side assertion notification for one word arriving on a failure
+    stream: decode it, print each message, halt unless ``NABORT``.
+    Returns True when the application must halt."""
+    hits = image.decode_failure(stream, word)
+    if hits and result.first_failure_cycle is None:
+        result.first_failure_cycle = cycle
+    halted = False
+    for proc, site in hits:
+        result.failures.append((proc, site))
+        result.stderr.append(site.message())
+        if not image.nabort:
+            result.aborted_by = site
+            halted = True
+    return halted
+
+
+def _record_violations(image: HardwareImage, result: HwResult,
+                       monitor: _LatencyMonitor, cycle: int) -> bool:
+    """Report (and clear) a latency monitor's violations; True halts."""
+    halted = False
+    for region, elapsed in monitor.violations:
+        if result.first_failure_cycle is None:
+            result.first_failure_cycle = cycle
+        result.failures.append((region.process, region.site))
+        result.stderr.append(region.message(elapsed))
+        if not image.nabort:
+            result.aborted_by = region.site
+            halted = True
+    monitor.violations.clear()
+    return halted
+
+
+def _quarantine(image: HardwareImage, cfg: WatchdogConfig, wd: Watchdog,
+                execs: dict, channels: dict, result: HwResult,
+                verdict: str, rounds: int) -> bool:
+    """Graceful degradation: under NABORT the stuck processes are
+    quarantined (retired, their output streams closed) so the survivors —
+    and every failure word still in flight — drain. Returns True when
+    victims were retired and the run goes on."""
+    if not (cfg.quarantine and image.nabort
+            and rounds < cfg.max_quarantine_rounds):
+        return False
+    victims = wd.victims(verdict)
+    if not victims:
+        return False
+    if result.watchdog is None:
+        # triage snapshot from the moment the watchdog fired, even if the
+        # run then drains to completion
+        result.watchdog = wd.report(verdict)
+    for name in victims:
+        execs[name].quarantine()
+        for sd in image.app.streams.values():
+            if sd.source is not None and sd.source.process == name:
+                channels[sd.name].close()
+    result.quarantined.extend(victims)
+    wd.reset_after_quarantine(victims)
+    return True
+
+
+def _rotations(items: list[tuple]) -> list[list[tuple]]:
+    """Round-robin visiting orders over ``items``: entry ``r`` lists them
+    from index ``r`` on, each prefixed with the index after it (the next
+    round-robin pointer)."""
+    n = len(items)
+    return [[((r + k + 1) % n, *items[(r + k) % n]) for k in range(n)]
+            for r in range(n)]
+
+
+def _finalize(result: HwResult, app: Application, sink_order: list[str],
+              cpu_outputs: dict, execs: dict,
+              injector: RuntimeFaultInjector) -> None:
+    """Fill the result's outputs, per-process stats and fault log."""
+    for name in sink_order:
+        if app.streams[name].role is None:
+            result.outputs[name] = cpu_outputs[name]
+    for name, pe in execs.items():
+        result.process_stats[name] = {
+            "cycles": pe.cycles,
+            "stalls": pe.stall_cycles,
+            "iterations": pe.iterations_started,
+            "stream_ops": pe.stream_ops,
+            "quarantined": pe.quarantined,
+            "backend": getattr(pe, "backend", "interp"),
+        }
+    result.fault_events = injector.event_log()
+    injector.detach()
+
+
+class _Harness:
+    """One scalar run as the fused cycle function sees it
+    (:mod:`repro.simc.cyclegen`): the fabric in index order, plus the
+    slow paths the generated loop calls back into."""
+
+    def __init__(self, image: HardwareImage, config: WatchdogConfig,
+                 channels: dict, taps: dict, execs: dict, feeders: dict,
+                 cpu_outputs: dict, collectors: list, monitors: list,
+                 injector: RuntimeFaultInjector, result: HwResult):
+        app = image.app
+        self.image = image
+        self.config = config
+        self.channels = channels
+        self.execs = execs
+        self.collectors = collectors
+        self.monitors = monitors
+        self.injector = injector
+        self.result = result
+        self.procs = list(execs.values())
+        self.fed = _rotations([(channels[name], feeders[name])
+                               for name in sorted(feeders)])
+        self.sink_names = sorted(cpu_outputs)
+        self.sinks = _rotations([
+            (name, channels[name].queue, channels[name],
+             None if app.streams[name].role in _FAIL_ROLES
+             else cpu_outputs[name])
+            for name in self.sink_names
+        ])
+        self.taps = list(taps.values())
+        # slow paths the generated loop calls back into
+        self.deliver_failure = partial(_notify_failure, image, result)
+        self.record_violations = partial(_record_violations, image, result)
+        self.wd = Watchdog(config, app=app, execs=execs)
+        self.quarantine_rounds = 0
+
+    def topology(self):
+        from repro.simc.cyclegen import Topology
+        from repro.simc.schedgen import CompiledProcessExec
+
+        daemon = {pd.name: pd.daemon for pd in self.image.app.processes.values()}
+        tap_index = {ch.name: i for i, ch in enumerate(self.taps)}
+        collectors = []
+        for c in self.collectors:
+            if isinstance(c, _Collector):
+                inputs = (tap_index[name] for name, _bit in c.spec.inputs)
+                collectors.append(("collector", tuple(inputs)))
+            else:
+                inputs = (tap_index[name] for name in c.spec.inputs)
+                collectors.append(("arbiter", tuple(inputs)))
+        return Topology(
+            procs=tuple((daemon[name], isinstance(pe, CompiledProcessExec))
+                        for name, pe in self.execs.items()),
+            fed=len(self.fed),
+            sinks=len(self.sinks),
+            taps=len(self.taps),
+            collectors=tuple(collectors),
+            monitors=tuple((tap_index[m.region.start_channel],
+                            tap_index[m.region.end_channel])
+                           for m in self.monitors),
+        )
+
+    # ---- callbacks from the generated loop ------------------------------
+
+    def _sync(self, cycle, idle, stagnant, last, window) -> None:
+        """Write the loop's local watchdog counters back to the Watchdog."""
+        wd = self.wd
+        wd.cycle = cycle
+        wd.idle = idle
+        wd.stagnant = stagnant
+        wd._last_progress = last
+        if window is not None:
+            wd._window_ops = dict(zip(self.execs, window))
+        self.result.cycles = cycle
+
+    def verdict(self, verdict, cycle, idle, stagnant, last, window):
+        """The watchdog fired: quarantine and go on (returns the reset
+        ``(idle, stagnant, last)`` counters) or end the run (None)."""
+        self._sync(cycle, idle, stagnant, last, window)
+        wd = self.wd
+        if _quarantine(self.image, self.config, wd, self.execs,
+                       self.channels, self.result, verdict,
+                       self.quarantine_rounds):
+            self.quarantine_rounds += 1
+            return wd.idle, wd.stagnant, wd._last_progress
+        self.result.reason = verdict
+        self.result.traces = [pe.trace() for pe in self.procs]
+        self.result.watchdog = wd.report(verdict)
+        return None
+
+    def finish(self, cycle, idle, stagnant, last, window) -> None:
+        self._sync(cycle, idle, stagnant, last, window)
+        if not self.injector.faults:
+            self.injector.cycle = cycle
 
 
 def execute(
@@ -244,6 +441,12 @@ def execute(
     process registers for this run only. ``sim_backend`` overrides the
     image's synthesis-time backend choice (``None`` keeps it); fallbacks
     to the interpreter are recorded in ``HwResult.backend_diagnostics``.
+
+    Every cycle runs, in order: the fault injector, the board link (one
+    word CPU -> FPGA, one word FPGA -> CPU, round-robin over streams),
+    collectors and arbiters, every process's tick, the latency monitors,
+    then the abort, drain and watchdog checks. That loop is generated
+    once per image topology (:mod:`repro.simc.cyclegen`).
     """
     from repro import simc
 
@@ -256,11 +459,11 @@ def execute(
 
     channels: dict[str, Channel] = {}
     cpu_outputs: dict[str, list[int]] = {}
-    feeders: dict[str, list[int]] = {}
+    feeders: dict[str, deque] = {}
     for sd in app.streams.values():
         channels[sd.name] = Channel(sd.name, width=sd.width, depth=sd.depth)
         if sd.cpu_fed:
-            feeders[sd.name] = list(sd.feeder_data or [])
+            feeders[sd.name] = deque(sd.feeder_data or ())
         if sd.cpu_bound:
             cpu_outputs[sd.name] = []
     taps: dict[str, Channel] = {
@@ -284,7 +487,36 @@ def execute(
             diagnostics=backend_diags,
         )
 
-    collectors = [
+    injector = RuntimeFaultInjector(faults)
+    injector.attach(channels, execs)
+    result = HwResult(completed=False, cycles=0, reason=TIMEOUT,
+                      backend_diagnostics=backend_diags)
+    harness = _Harness(
+        image, cfg, channels, taps, execs, feeders, cpu_outputs,
+        _make_collectors(app, channels, taps),
+        [_LatencyMonitor(region, taps) for region in image.latency_regions],
+        injector, result)
+
+    cycle_fn = simc.cycle_function(harness.topology())
+    reason = cycle_fn(harness, cfg.max_cycles)
+    if reason is None:
+        result.reason = TIMEOUT
+        result.traces = [pe.trace() for pe in execs.values()]
+        result.watchdog = harness.wd.report(TIMEOUT)
+    elif reason == ABORTED:
+        result.reason = ABORTED
+    elif reason == COMPLETED:
+        result.completed = True
+        result.reason = COMPLETED
+    # any other reason is a watchdog verdict, recorded by harness.verdict
+
+    _finalize(result, app, harness.sink_names, cpu_outputs, execs, injector)
+    return result
+
+
+def _make_collectors(app: Application, channels: dict, taps: dict) -> list:
+    """Collector then arbiter pseudo-processes, in tick order."""
+    collectors: list = [
         _Collector(pd.collector_spec, taps, channels[pd.collector_spec.output])
         for pd in app.processes.values()
         if pd.kind == "collector" and pd.collector_spec is not None
@@ -294,162 +526,7 @@ def execute(
         for pd in app.processes.values()
         if pd.kind == "arbiter" and pd.collector_spec is not None
     )
-
-    injector = RuntimeFaultInjector(faults)
-    injector.attach(channels, execs)
-
-    result = HwResult(completed=False, cycles=0, reason=TIMEOUT,
-                      backend_diagnostics=backend_diags)
-    fed_order = sorted(feeders)
-    sink_order = sorted(cpu_outputs)
-    feed_rr = 0
-    sink_rr = 0
-    halted = False
-
-    def board_tick() -> bool:
-        nonlocal feed_rr, sink_rr
-        moved = False
-        # CPU -> FPGA: one word per cycle across all feeder streams
-        for k in range(len(fed_order)):
-            name = fed_order[(feed_rr + k) % len(fed_order)]
-            ch = channels[name]
-            data = feeders[name]
-            if data and ch.can_push():
-                ch.push(data.pop(0))
-                if not data:
-                    ch.close()
-                feed_rr = (feed_rr + k + 1) % len(fed_order)
-                moved = True
-                break
-            if not data and not ch.closed:
-                ch.close()
-                moved = True
-        # FPGA -> CPU: one word per cycle across all sink streams
-        for k in range(len(sink_order)):
-            name = sink_order[(sink_rr + k) % len(sink_order)]
-            ch = channels[name]
-            if ch.can_pop():
-                word = ch.pop()
-                _deliver(name, word)
-                sink_rr = (sink_rr + k + 1) % len(sink_order)
-                moved = True
-                break
-        return moved
-
-    def _deliver(stream: str, word: int) -> None:
-        nonlocal halted
-        sd = app.streams[stream]
-        if sd.role in ("assert_code", "assert_bitmask"):
-            hits = image.decode_failure(stream, word)
-            if hits and result.first_failure_cycle is None:
-                result.first_failure_cycle = result.cycles
-            for proc, site in hits:
-                result.failures.append((proc, site))
-                result.stderr.append(site.message())
-                if not image.nabort:
-                    result.aborted_by = site
-                    halted = True
-        else:
-            cpu_outputs[stream].append(word)
-
-    monitors = [
-        _LatencyMonitor(region, taps) for region in image.latency_regions
-    ]
-    wd = Watchdog(cfg, app=app, execs=execs, channels=channels)
-    quarantine_rounds = 0
-
-    for _cycle in range(cfg.max_cycles):
-        result.cycles += 1
-        injector.tick()
-        active = board_tick()
-        for collector in collectors:
-            if collector.tick():
-                active = True
-        for pe in execs.values():
-            status = pe.tick()
-            if status == "active":
-                active = True
-        for monitor in monitors:
-            if monitor.tick(result.cycles):
-                active = True
-            for region, elapsed in monitor.violations:
-                if result.first_failure_cycle is None:
-                    result.first_failure_cycle = result.cycles
-                result.failures.append((region.process, region.site))
-                result.stderr.append(region.message(elapsed))
-                if not image.nabort:
-                    result.aborted_by = region.site
-                    halted = True
-            monitor.violations.clear()
-        if halted:
-            result.reason = ABORTED
-            break
-        blocking = [
-            pd.name for pd in app.fpga_processes()
-            if not pd.daemon and not execs[pd.name].done
-        ]
-        if not blocking:
-            # the application is done, but failure notifications may still
-            # be in flight through checker pipelines, collectors and the
-            # board link — drain everything before declaring completion
-            drained = (
-                all(not channels[name].can_pop() for name in sink_order)
-                and all(not ch.can_pop() for ch in taps.values())
-                and all(c.pending == 0 for c in collectors)
-                and not active
-            )
-            if drained:
-                result.completed = True
-                result.reason = COMPLETED
-                break
-        verdict = wd.observe(active)
-        if verdict is not None:
-            # graceful degradation: under NABORT the stuck processes are
-            # quarantined (retired, their output streams closed) so the
-            # survivors — and every failure word still in flight — drain
-            if (cfg.quarantine and image.nabort
-                    and quarantine_rounds < cfg.max_quarantine_rounds):
-                victims = wd.victims(verdict)
-                if victims:
-                    quarantine_rounds += 1
-                    if result.watchdog is None:
-                        # triage snapshot from the moment the watchdog
-                        # fired, even if the run then drains to completion
-                        result.watchdog = wd.report(verdict)
-                    for name in victims:
-                        execs[name].quarantine()
-                        for sd in app.streams.values():
-                            if (sd.source is not None
-                                    and sd.source.process == name):
-                                channels[sd.name].close()
-                    result.quarantined.extend(victims)
-                    wd.reset_after_quarantine(victims)
-                    continue
-            result.reason = verdict
-            result.traces = [pe.trace() for pe in execs.values()]
-            result.watchdog = wd.report(verdict)
-            break
-    else:
-        result.reason = TIMEOUT
-        result.traces = [pe.trace() for pe in execs.values()]
-        result.watchdog = wd.report(TIMEOUT)
-
-    for name in sink_order:
-        sd = app.streams[name]
-        if sd.role is None:
-            result.outputs[name] = cpu_outputs[name]
-    for name, pe in execs.items():
-        result.process_stats[name] = {
-            "cycles": pe.cycles,
-            "stalls": pe.stall_cycles,
-            "iterations": pe.iterations_started,
-            "stream_ops": pe.stream_ops,
-            "quarantined": pe.quarantined,
-            "backend": getattr(pe, "backend", "interp"),
-        }
-    result.fault_events = injector.event_log()
-    injector.detach()
-    return result
+    return collectors
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +568,13 @@ class _LanewiseGroup:
 
 
 class _LaneCtx:
-    """All mutable per-lane state of the scalar ``execute`` loop."""
+    """All mutable state of one lane (what one scalar run keeps)."""
 
     __slots__ = ("channels", "taps", "cpu_outputs", "feeders", "execs",
                  "collectors", "monitors", "injector", "wd", "result",
                  "feed_rr", "sink_rr", "halted", "quarantine_rounds",
-                 "alive")
+                 "alive", "fed", "feeding", "sinks", "sink_qs", "blocking",
+                 "drain_qs", "procs", "moves", "faulted")
 
 
 def execute_batch(
@@ -513,12 +591,16 @@ def execute_batch(
     (injector, board link, collectors, process ticks, monitors, abort /
     drain / watchdog classification), same quarantine semantics, same
     result fields — so ``execute_batch(image, [LaneSpec(faults=f)])[i]``
-    is bit-identical to ``execute(image, faults=f)`` for every lane. The
-    win is dispatch amortization: all lanes of one process advance through
-    one generated structure-of-arrays tick function per cycle
+    is bit-identical to ``execute(image, faults=f)`` for every lane. All
+    lanes of one process advance through one generated structure-of-arrays
+    tick function per cycle
     (:class:`repro.simc.schedgen.BatchedProcessExec`), and a lane that
     terminates (abort, deadlock, completion, assertion trip) is simply
     dropped from the lane lists without stalling its siblings.
+
+    This loop is written out by hand, independently of the generated
+    cycle function :func:`execute` runs, so a 1-lane batch is the
+    reference the fused scalar loop is tested against.
     """
     from repro import simc
     from repro.errors import SimCompileError
@@ -546,8 +628,8 @@ def execute_batch(
                                             depth=sd.depth)
             if sd.cpu_fed:
                 override = (spec.feeder_data or {}).get(sd.name)
-                ctx.feeders[sd.name] = list(
-                    sd.feeder_data or [] if override is None else override)
+                ctx.feeders[sd.name] = deque(
+                    sd.feeder_data or () if override is None else override)
             if sd.cpu_bound:
                 ctx.cpu_outputs[sd.name] = []
         ctx.taps = {name: Channel(name, unbounded=True) for name in app.taps}
@@ -601,25 +683,14 @@ def execute_batch(
             ctx.execs[pd.name] = group.lanes[l]
 
     for l, (spec, ctx) in enumerate(zip(lanes, ctxs)):
-        ctx.collectors = [
-            _Collector(pd.collector_spec, ctx.taps,
-                       ctx.channels[pd.collector_spec.output])
-            for pd in app.processes.values()
-            if pd.kind == "collector" and pd.collector_spec is not None
-        ]
-        ctx.collectors.extend(
-            _Arbiter(pd.collector_spec, ctx.taps)
-            for pd in app.processes.values()
-            if pd.kind == "arbiter" and pd.collector_spec is not None
-        )
+        ctx.collectors = _make_collectors(app, ctx.channels, ctx.taps)
         ctx.monitors = [
             _LatencyMonitor(region, ctx.taps)
             for region in image.latency_regions
         ]
         ctx.injector = RuntimeFaultInjector(spec.faults)
         ctx.injector.attach(ctx.channels, ctx.execs)
-        ctx.wd = Watchdog(cfg, app=app, execs=ctx.execs,
-                          channels=ctx.channels)
+        ctx.wd = Watchdog(cfg, app=app, execs=ctx.execs)
         ctx.result = HwResult(completed=False, cycles=0, reason=TIMEOUT,
                               backend_diagnostics=lane_diags[l])
 
@@ -627,159 +698,167 @@ def execute_batch(
     sink_order = sorted(ctxs[0].cpu_outputs)
     proc_names = [pd.name for pd in app.fpga_processes()]
     daemonless = [pd.name for pd in app.fpga_processes() if not pd.daemon]
+    for ctx in ctxs:
+        ctx.fed = _rotations([(ctx.channels[name], ctx.feeders[name])
+                             for name in fed_order])
+        ctx.sinks = _rotations([
+            (name, ctx.channels[name],
+             None if app.streams[name].role in _FAIL_ROLES
+             else ctx.cpu_outputs[name])
+            for name in sink_order
+        ])
+        ctx.feeding = bool(ctx.fed)
+        ctx.faulted = bool(ctx.injector.faults)
+        ctx.procs = list(ctx.execs.values())
+        ctx.moves = 0
+        ctx.sink_qs = [ctx.channels[name].queue for name in sink_order]
+        ctx.blocking = [ctx.execs[name] for name in daemonless]
+        ctx.drain_qs = ([ctx.channels[name].queue for name in sink_order]
+                        + [ch.queue for ch in ctx.taps.values()])
 
-    def board_tick(ctx: _LaneCtx) -> bool:
-        moved = False
-        # CPU -> FPGA: one word per cycle across all feeder streams
-        for k in range(len(fed_order)):
-            name = fed_order[(ctx.feed_rr + k) % len(fed_order)]
-            ch = ctx.channels[name]
-            data = ctx.feeders[name]
-            if data and ch.can_push():
-                ch.push(data.pop(0))
+    def feed(ctx: _LaneCtx) -> bool:
+        """CPU -> FPGA: one word per cycle across all feeder streams."""
+        moved = closed = False
+        for nxt, ch, data in ctx.fed[ctx.feed_rr]:
+            if data:
+                if ch.faults:
+                    if not ch.can_push():
+                        continue
+                    ch.push(data.popleft())
+                elif len(ch.queue) < ch.depth:
+                    # Channel.push without fault hooks, inlined
+                    q = ch.queue
+                    q.append(data.popleft())
+                    ch.pushes += 1
+                    if len(q) > ch.max_occupancy:
+                        ch.max_occupancy = len(q)
+                else:
+                    continue
+                ctx.moves += 1
                 if not data:
                     ch.close()
-                ctx.feed_rr = (ctx.feed_rr + k + 1) % len(fed_order)
+                    closed = True
+                ctx.feed_rr = nxt
                 moved = True
                 break
-            if not data and not ch.closed:
+            elif not ch.closed:
                 ch.close()
-                moved = True
-        # FPGA -> CPU: one word per cycle across all sink streams
-        for k in range(len(sink_order)):
-            name = sink_order[(ctx.sink_rr + k) % len(sink_order)]
-            ch = ctx.channels[name]
-            if ch.can_pop():
-                word = ch.pop()
-                _deliver(ctx, name, word)
-                ctx.sink_rr = (ctx.sink_rr + k + 1) % len(sink_order)
-                moved = True
-                break
+                moved = closed = True
+        if closed:  # once every feeder is empty and closed, stop looking
+            ctx.feeding = any(data or not ch.closed
+                              for _, ch, data in ctx.fed[0])
         return moved
 
-    def _deliver(ctx: _LaneCtx, stream: str, word: int) -> None:
-        result = ctx.result
-        sd = app.streams[stream]
-        if sd.role in ("assert_code", "assert_bitmask"):
-            hits = image.decode_failure(stream, word)
-            if hits and result.first_failure_cycle is None:
-                result.first_failure_cycle = result.cycles
-            for proc, site in hits:
-                result.failures.append((proc, site))
-                result.stderr.append(site.message())
-                if not image.nabort:
-                    result.aborted_by = site
-                    ctx.halted = True
-        else:
-            ctx.cpu_outputs[stream].append(word)
+    def drain_sink(ctx: _LaneCtx, cycle: int) -> None:
+        """FPGA -> CPU: one word per cycle across all sink streams (the
+        caller checked that some sink holds a word)."""
+        for nxt, name, ch, out in ctx.sinks[ctx.sink_rr]:
+            if ch.queue:
+                word = ch.queue.popleft()
+                ch.pops += 1
+                ctx.moves += 1
+                if out is None:
+                    if _notify_failure(image, ctx.result, name, word, cycle):
+                        ctx.halted = True
+                else:
+                    out.append(word)
+                ctx.sink_rr = nxt
+                return
 
-    def finalize(ctx: _LaneCtx) -> None:
+    def finalize(ctx: _LaneCtx, cycle: int) -> None:
         ctx.alive = False
-        result = ctx.result
-        for name in sink_order:
-            sd = app.streams[name]
-            if sd.role is None:
-                result.outputs[name] = ctx.cpu_outputs[name]
-        for name, pe in ctx.execs.items():
-            result.process_stats[name] = {
-                "cycles": pe.cycles,
-                "stalls": pe.stall_cycles,
-                "iterations": pe.iterations_started,
-                "stream_ops": pe.stream_ops,
-                "quarantined": pe.quarantined,
-                "backend": getattr(pe, "backend", "interp"),
-            }
-        result.fault_events = ctx.injector.event_log()
-        ctx.injector.detach()
+        ctx.result.cycles = ctx.injector.cycle = cycle
+        _finalize(ctx.result, app, sink_order, ctx.cpu_outputs, ctx.execs,
+                  ctx.injector)
 
-    statuses: dict[str, list] = {name: [None] * n for name in proc_names}
+    status_rows = [[None] * n for _ in proc_names]
+    ticks = [(groups[name].tick_lanes, row)
+             for name, row in zip(proc_names, status_rows)]
     active_flags = [False] * n
 
-    for _cycle in range(cfg.max_cycles):
-        live = [l for l in range(n) if ctxs[l].alive]
+    live = list(range(n))
+    for cycle in range(1, cfg.max_cycles + 1):
         if not live:
             break
         for l in live:
             ctx = ctxs[l]
-            ctx.result.cycles += 1
-            ctx.injector.tick()
-            active = board_tick(ctx)
+            if ctx.faulted:
+                ctx.injector.tick()
+            active = False
+            if ctx.feeding:
+                active = feed(ctx)
+            if any(ctx.sink_qs):
+                drain_sink(ctx, cycle)
+                active = True
             for collector in ctx.collectors:
-                if collector.tick():
-                    active = True
+                # a collector or arbiter with no word in and none pending
+                # has nothing to do this cycle
+                if collector.pending or any(collector.in_qs):
+                    out = collector.out
+                    pushed = out.pushes if out is not None else 0
+                    if collector.tick():
+                        active = True
+                    if out is not None:
+                        ctx.moves += out.pushes - pushed
             active_flags[l] = active
         # one lockstep advance per process: every live lane of the process
         # moves through the same generated SoA tick function
-        for name in proc_names:
-            groups[name].tick_lanes(live, statuses[name])
+        for tick_lanes, row in ticks:
+            tick_lanes(live, row)
+        ended = requeue = False
         for l in live:
             ctx = ctxs[l]
-            result = ctx.result
             active = active_flags[l]
-            st = statuses
-            for name in proc_names:
-                if st[name][l] == "active":
-                    active = True
+            if not active:
+                for row in status_rows:
+                    if row[l] == "active":
+                        active = True
+                        break
             for monitor in ctx.monitors:
-                if monitor.tick(result.cycles):
+                if monitor.tick(cycle):
                     active = True
-                for region, elapsed in monitor.violations:
-                    if result.first_failure_cycle is None:
-                        result.first_failure_cycle = result.cycles
-                    result.failures.append((region.process, region.site))
-                    result.stderr.append(region.message(elapsed))
-                    if not image.nabort:
-                        result.aborted_by = region.site
-                        ctx.halted = True
-                monitor.violations.clear()
+                if _record_violations(image, ctx.result, monitor, cycle):
+                    ctx.halted = True
             if ctx.halted:
-                result.reason = ABORTED
-                finalize(ctx)
+                ctx.result.reason = ABORTED
+                finalize(ctx, cycle)
+                ended = True
                 continue
-            blocking = [
-                name for name in daemonless if not ctx.execs[name].done
-            ]
-            if not blocking:
-                drained = (
-                    all(not ctx.channels[s].can_pop() for s in sink_order)
-                    and all(not ch.can_pop() for ch in ctx.taps.values())
-                    and all(c.pending == 0 for c in ctx.collectors)
-                    and not active
-                )
-                if drained:
-                    result.completed = True
-                    result.reason = COMPLETED
-                    finalize(ctx)
+            for pe in ctx.blocking:
+                if not pe.done:
+                    break
+            else:
+                if not active and not any(ctx.drain_qs) \
+                        and all(c.pending == 0 for c in ctx.collectors):
+                    ctx.result.completed = True
+                    ctx.result.reason = COMPLETED
+                    finalize(ctx, cycle)
+                    ended = True
                     continue
-            verdict = ctx.wd.observe(active)
+            verdict = ctx.wd.observe(
+                active, ctx.moves + sum(map(_STREAM_OPS, ctx.procs)))
             if verdict is not None:
-                if (cfg.quarantine and image.nabort
-                        and ctx.quarantine_rounds
-                        < cfg.max_quarantine_rounds):
-                    victims = ctx.wd.victims(verdict)
-                    if victims:
-                        ctx.quarantine_rounds += 1
-                        if result.watchdog is None:
-                            result.watchdog = ctx.wd.report(verdict)
-                        for name in victims:
-                            ctx.execs[name].quarantine()
-                            for sd in app.streams.values():
-                                if (sd.source is not None
-                                        and sd.source.process == name):
-                                    ctx.channels[sd.name].close()
-                        result.quarantined.extend(victims)
-                        ctx.wd.reset_after_quarantine(victims)
-                        continue
+                result = ctx.result
+                if _quarantine(image, cfg, ctx.wd, ctx.execs, ctx.channels,
+                               result, verdict, ctx.quarantine_rounds):
+                    ctx.quarantine_rounds += 1
+                    requeue = True
+                    continue
                 result.reason = verdict
                 result.traces = [pe.trace() for pe in ctx.execs.values()]
                 result.watchdog = ctx.wd.report(verdict)
-                finalize(ctx)
+                finalize(ctx, cycle)
+                ended = True
+        if ended or requeue:
+            # a new lane list makes every group place its lanes afresh,
+            # dropping the finished lanes and the quarantined processes
+            live = [l for l in live if ctxs[l].alive]
 
     for ctx in ctxs:
         if ctx.alive:
             ctx.result.reason = TIMEOUT
             ctx.result.traces = [pe.trace() for pe in ctx.execs.values()]
             ctx.result.watchdog = ctx.wd.report(TIMEOUT)
-            finalize(ctx)
+            finalize(ctx, cfg.max_cycles)
 
     return [ctx.result for ctx in ctxs]

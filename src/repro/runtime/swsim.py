@@ -10,6 +10,7 @@ in-circuit assertion flow worth building.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.ir.instr import AssertionSite
@@ -19,7 +20,7 @@ from repro.runtime.taskgraph import Application
 
 @dataclass
 class _Queue:
-    values: list = field(default_factory=list)
+    values: deque = field(default_factory=deque)
     closed: bool = False
 
 
@@ -49,7 +50,7 @@ def software_sim(app: Application, max_steps: int = 10_000_000) -> SimResult:
     for sd in app.streams.values():
         q = _Queue()
         if sd.cpu_fed:
-            q.values = list(sd.feeder_data or [])
+            q.values = deque(sd.feeder_data or ())
             q.closed = True
         queues[sd.name] = q
     tap_queues: dict[str, _Queue] = {name: _Queue() for name in app.taps}
@@ -100,7 +101,7 @@ def software_sim(app: Application, max_steps: int = 10_000_000) -> SimResult:
                 if kind == "read":
                     q = queues[proc.binding[proc.event[1]]]
                     if q.values:
-                        reply = (1, q.values.pop(0))
+                        reply = (1, q.values.popleft())
                     elif q.closed:
                         reply = (0, 0)
                     else:
@@ -120,7 +121,7 @@ def software_sim(app: Application, max_steps: int = 10_000_000) -> SimResult:
                 elif kind == "tap_read":
                     q = tap_queues[proc.event[1]]
                     if q.values:
-                        record = q.values.pop(0)
+                        record = q.values.popleft()
                         reply = (1, *record)
                     elif q.closed:
                         reply = (0,)

@@ -93,20 +93,27 @@ class WatchdogReport:
 class Watchdog:
     """Observes one hardware execution and classifies how it ends.
 
-    ``observe(active)`` is called once per clock with the cycle's global
-    activity flag; it returns ``None`` while the run looks healthy, or a
-    verdict (:data:`DEADLOCK` / :data:`LIVELOCK`) once the corresponding
-    detector fires. Forward progress is measured as the total number of
-    words moved through the application's stream channels (tap traffic is
-    the assertion fabric's own concern and does not count).
+    ``observe(active, progress)`` is called once per clock with the
+    cycle's global activity flag and progress count; it returns ``None``
+    while the run looks healthy, or a verdict (:data:`DEADLOCK` /
+    :data:`LIVELOCK`) once the corresponding detector fires. Forward
+    progress means words moved through the application's stream channels
+    (tap traffic is the assertion fabric's own concern and does not
+    count); the caller counts them as the processes' stream handshakes
+    plus the words the board link and the collectors moved, which grows
+    exactly when some channel's push or pop count does.
+
+    The scalar executor's generated cycle loop (:mod:`repro.simc.cyclegen`)
+    keeps the idle and stagnant counters itself instead of calling
+    :meth:`observe`; it writes them back here before :meth:`victims`,
+    :meth:`report` or :meth:`reset_after_quarantine` run, so triage sees
+    the same state.
     """
 
-    def __init__(self, config: WatchdogConfig, app, execs: dict,
-                 channels: dict):
+    def __init__(self, config: WatchdogConfig, app, execs: dict):
         self.config = config
         self.app = app
         self.execs = execs
-        self.channels = channels
         self.cycle = 0
         self.idle = 0
         self.stagnant = 0
@@ -114,10 +121,11 @@ class Watchdog:
         self._window_ops: dict[str, int] = {}
         self.quarantined: list[str] = []
 
-    def _progress(self) -> int:
-        return sum(ch.pushes + ch.pops for ch in self.channels.values())
-
-    def observe(self, active: bool) -> str | None:
+    def observe(self, active: bool, progress: int) -> str | None:
+        """One cycle went by. ``progress`` is a running count that grows
+        whenever a word moves through an application stream channel
+        (processes' ``stream_ops`` plus the words the board link and the
+        collectors moved): it is compared with the last cycle's only."""
         self.cycle += 1
         if active:
             self.idle = 0
@@ -125,7 +133,6 @@ class Watchdog:
             self.idle += 1
             if self.idle >= self.config.idle_limit:
                 return DEADLOCK
-        progress = self._progress()
         if progress != self._last_progress:
             self._last_progress = progress
             self.stagnant = 0

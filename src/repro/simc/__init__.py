@@ -2,7 +2,9 @@
 
 Translates RTL modules (:mod:`repro.simc.rtlgen`) and function schedules
 (:mod:`repro.simc.schedgen`) into specialized Python source compiled once
-per design, with bit-identical semantics to the interpreted simulators.
+per design, with bit-identical semantics to the interpreted simulators,
+and fuses the per-cycle execution harness around them into one generated
+cycle function per image topology (:mod:`repro.simc.cyclegen`).
 This package is the single place backend selection lives:
 
 * :func:`resolve_backend` validates a ``--sim-backend`` value;
@@ -24,6 +26,7 @@ from repro.hls.cyclemodel import ProcessExec
 from repro.rtl.sim import RtlSim
 
 from .codecache import cached_source, clear_memo, compile_source, memo_stats
+from .cyclegen import Topology, cycle_function
 from .rtlgen import (
     BatchedRtlSim,
     CompiledRtlSim,
@@ -48,11 +51,13 @@ __all__ = [
     "BatchedRtlSim",
     "CompiledProcessExec",
     "CompiledRtlSim",
+    "Topology",
     "batched_rtl_source",
     "batched_sched_source",
     "cached_source",
     "clear_memo",
     "compile_source",
+    "cycle_function",
     "fallback_diagnostic",
     "generate_batched_rtl_source",
     "generate_batched_sched_source",

@@ -50,16 +50,26 @@ def _time_best(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
 
 def _hw_signature(res) -> tuple:
     """The observable outcome of an :func:`repro.runtime.hwexec.execute`
-    run — everything a backend swap must preserve."""
+    run — every :class:`~repro.runtime.hwexec.HwResult` field a backend
+    or harness-loop swap must preserve. Only which backend ran differs
+    legitimately: the ``backend`` tag of ``process_stats`` and the
+    fallback ``backend_diagnostics`` are left out."""
     return (
         res.completed,
         res.reason,
         res.cycles,
         {k: list(v) for k, v in sorted(res.outputs.items())},
+        list(res.stderr),
         sorted((name, site.ordinal, site.expr_text)
                for name, site in res.failures),
+        repr(res.aborted_by),
+        res.first_failure_cycle,
+        list(res.quarantined),
+        [str(t) for t in res.traces],
+        repr(res.watchdog),
         {name: {k: v for k, v in st.items() if k != "backend"}
          for name, st in sorted(res.process_stats.items())},
+        list(res.fault_events),
     )
 
 
@@ -180,6 +190,28 @@ void k(co_stream input, co_stream output) {
 """
 
 
+_PASS_THROUGH = """
+void q(co_stream input, co_stream output) {
+  uint32 x;
+  while (co_stream_read(input, &x)) {
+    co_stream_write(output, x);
+  }
+  co_stream_close(output);
+}
+"""
+
+
+def _pass_through_app(data: list[int]):
+    """One process copying its input to its output: all board link."""
+    from repro.runtime.taskgraph import Application
+
+    app = Application("feedbench")
+    app.add_c_process(_PASS_THROUGH, name="q", filename="feedbench.c")
+    app.feed("in", "q.input", data=data)
+    app.sink("out", "q.output")
+    return app
+
+
 def _bench_rtl(name: str, data: list[int], repeats: int) -> dict:
     """Bench the raw RTL simulators on a standalone sequential module.
 
@@ -242,6 +274,8 @@ def _suite(quick: bool) -> list[tuple[str, Callable[[], dict], int]]:
     edge_wh = (32, 16)
     text = b"Now is the time for all good men to come to the aid!"
     rtl_data = [i * 17 % 4096 for i in range(4000)]
+    # long enough that a feeder costing O(n) per word would dominate
+    feed_data = [(i * 2654435761) % (1 << 32) for i in range(65_536)]
 
     return [
         ("loopback3",
@@ -258,6 +292,10 @@ def _suite(quick: bool) -> list[tuple[str, Callable[[], dict], int]]:
         ("tripledes",
          lambda: _bench_hwexec(
              "tripledes", lambda: build_tdes_app(text), repeats),
+         repeats),
+        ("feed64k",
+         lambda: _bench_hwexec(
+             "feed64k", lambda: _pass_through_app(feed_data), repeats),
          repeats),
         ("rtl_kernel",
          lambda: _bench_rtl("rtl_kernel", rtl_data, repeats),

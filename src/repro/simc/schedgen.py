@@ -25,6 +25,9 @@ difftest lockstep oracle compare the two backends cycle by cycle.
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
+
 from repro.errors import SimCompileError, SimulationError
 from repro.frontend.ctypes_ import CType, common_type
 from repro.hls.cyclemodel import Channel, ProcessExec
@@ -41,6 +44,10 @@ from .rtlgen import _Emitter, _sext_src
 __all__ = ["BatchedProcessExec", "CompiledProcessExec",
            "batched_sched_source", "generate_batched_sched_source",
            "generate_sched_source", "sched_exec_source"]
+
+
+_P_USE = re.compile(r"\bP\b")
+_E_USE = re.compile(r"\bE\b")
 
 
 def _identity(v):
@@ -90,6 +97,22 @@ class _SchedCompiler:
         #: ``_pending_env`` — the interpreter's ``_read``/``_write``
         #: overlay discipline, resolved at compile time
         self.ov: str | None = None
+        #: schedule position -> name of the function generated for it:
+        #: ``(block, step)`` for a sequential step, the block name for a
+        #: pipeline (same numbering as :meth:`generate`)
+        self.pos_fns: dict = {}
+        fid = 0
+        for block_name in self.func.blocks:
+            if block_name in self.fsched.pipelines:
+                self.pos_fns[block_name] = f"_pipe{fid}"
+                fid += 1
+                continue
+            bs = self.fsched.blocks.get(block_name)
+            if bs is None:
+                continue
+            for step in range(bs.length):
+                self.pos_fns[(block_name, step)] = f"_f{fid}"
+                fid += 1
 
     # ---- operands -------------------------------------------------------------
 
@@ -475,7 +498,8 @@ class _SchedCompiler:
 
     # ---- lane aliasing (batched mode) -------------------------------------------
 
-    def lane_aliases(self, lines: list[str]) -> list[str]:
+    def lane_aliases(self, lines: list[str],
+                     head: bool = False) -> list[str]:
         """Per-lane alias assignments for one generated function body.
 
         Batched bodies are emitted with the *same* names the scalar
@@ -486,7 +510,11 @@ class _SchedCompiler:
         loop overhead proportional to what the step touches.
         """
         text = "\n".join(lines)
-        out = ["P = _PN[l]", "E = _EN[l]"]
+        uses_p = (head or _P_USE.search(text) or "_div(" in text
+                  or "_mod(" in text)
+        out = ["P = _PN[l]"] if uses_p else []
+        if _E_USE.search(text):
+            out.append("E = _EN[l]")
         if "_div(" in text:
             out.append("_div = P._sc_div")
         if "_mod(" in text:
@@ -552,6 +580,79 @@ class _SchedCompiler:
 
     # ---- step functions ---------------------------------------------------------
 
+    def _route(self, em: _Emitter, pos) -> None:
+        """Batched only: queue the lane for the function of schedule
+        position ``pos`` next cycle (``_INTERP`` where none was
+        generated), so the driver never looks a lane's position up."""
+        if self.batched:
+            em.put(f"_nx[{self.pos_fns.get(pos, '_INTERP')}].append(l)")
+
+    def _lane_stall(self, fname: str) -> tuple[str, ...]:
+        """What a batched function emits for a lane that stalls: it stays
+        where it is."""
+        return ("_st[l] = 'stalled'", "P.stall_cycles += 1",
+                f"_nx[{fname}].append(l)", "continue")
+
+    def _lane_head(self, em: _Emitter, aliases: list[str]) -> None:
+        """Per-lane prologue of a batched function: the lane clocks."""
+        em.put(aliases[0])  # P = _PN[l]
+        em.put("P.cycles += 1")
+        for line in aliases[1:]:
+            em.put(line)
+
+    def _emit_enter(self, em: _Emitter, target: str) -> None:
+        """``P._enter_block(target)``; a sequential target is entered
+        inline (a step function only runs in ``seq`` mode, so only the
+        block and step change)."""
+        if target in self.fsched.pipelines:
+            em.put(f"P._enter_block({target!r})")
+            self._route(em, target)
+        else:
+            em.put(f"P.block = {target!r}")
+            em.put("P.step = 0")
+            self._route(em, (target, 0))
+
+    def _emit_advance(self, em: _Emitter, block_name: str, step: int, bs,
+                      block, done: tuple[str, ...]) -> None:
+        """Advance past ``step``: the next step, or the block terminator
+        once the block's last step ran."""
+        if step + 1 < bs.length:
+            em.put(f"P.step = {step + 1}")
+            self._route(em, (block_name, step + 1))
+            return
+        term = block.term
+        if isinstance(term, Jump):
+            targets = [term.target]
+        elif isinstance(term, Branch):
+            targets = [term.iftrue, term.iffalse]
+        elif isinstance(term, Return):
+            em.put(f"P.step = {step + 1}")
+            em.put("P.done = True")
+            for line in done:
+                em.put(line)
+            return
+        else:
+            raise SimCompileError(
+                f"{self.name}: unsupported terminator "
+                f"{type(term).__name__}", code="RPR-K020")
+        if any(t in self.fsched.pipelines for t in targets):
+            em.put(f"P.step = {step + 1}")  # a pipeline keeps the step
+        if isinstance(term, Jump):
+            self._emit_enter(em, term.target)
+            return
+        c = self.opnd(term.cond)
+        if c.lit is not None:
+            self._emit_enter(em, term.iftrue if c.lit != 0 else term.iffalse)
+            return
+        em.put(f"if {c.src}:")
+        em.indent += 1
+        self._emit_enter(em, term.iftrue)
+        em.indent -= 1
+        em.put("else:")
+        em.indent += 1
+        self._emit_enter(em, term.iffalse)
+        em.indent -= 1
+
     def step_fn(self, em: _Emitter, fid: int, block_name: str,
                 step: int) -> str:
         bs = self.fsched.blocks[block_name]
@@ -569,32 +670,8 @@ class _SchedCompiler:
             self.ready_check(em, instr)
         for instr in instrs:
             self.exec_instr(em, instr)
-        em.put(f"P.step = {step + 1}")
-        if step + 1 >= bs.length:
-            term = block.term
-            if isinstance(term, Jump):
-                em.put(f"P._enter_block({term.target!r})")
-            elif isinstance(term, Branch):
-                c = self.opnd(term.cond)
-                if c.lit is not None:
-                    target = term.iftrue if c.lit != 0 else term.iffalse
-                    em.put(f"P._enter_block({target!r})")
-                else:
-                    em.put(f"if {c.src}:")
-                    em.indent += 1
-                    em.put(f"P._enter_block({term.iftrue!r})")
-                    em.indent -= 1
-                    em.put("else:")
-                    em.indent += 1
-                    em.put(f"P._enter_block({term.iffalse!r})")
-                    em.indent -= 1
-            elif isinstance(term, Return):
-                em.put("P.done = True")
-                em.put("return 'done'")
-            else:
-                raise SimCompileError(
-                    f"{self.name}: unsupported terminator "
-                    f"{type(term).__name__}", code="RPR-K020")
+        self._emit_advance(em, block_name, step, bs, block,
+                           done=("return 'done'",))
         em.put("return 'active'")
         em.indent -= 1
         em.put("")
@@ -611,45 +688,29 @@ class _SchedCompiler:
         body.put(f"# {block_name}[{step}]")
         for instr in instrs:
             self.ready_check(body, instr,
-                             fail=("_st[l] = 'stalled'", "continue"))
+                             fail=self._lane_stall(fname))
         for instr in instrs:
             self.exec_instr(body, instr)
-        body.put(f"P.step = {step + 1}")
-        if step + 1 >= bs.length:
-            term = block.term
-            if isinstance(term, Jump):
-                body.put(f"P._enter_block({term.target!r})")
-            elif isinstance(term, Branch):
-                c = self.opnd(term.cond)
-                if c.lit is not None:
-                    target = term.iftrue if c.lit != 0 else term.iffalse
-                    body.put(f"P._enter_block({target!r})")
-                else:
-                    body.put(f"if {c.src}:")
-                    body.indent += 1
-                    body.put(f"P._enter_block({term.iftrue!r})")
-                    body.indent -= 1
-                    body.put("else:")
-                    body.indent += 1
-                    body.put(f"P._enter_block({term.iffalse!r})")
-                    body.indent -= 1
-            elif isinstance(term, Return):
-                body.put("P.done = True")
-                body.put("_st[l] = 'done'")
-                body.put("continue")
-            else:
-                raise SimCompileError(
-                    f"{self.name}: unsupported terminator "
-                    f"{type(term).__name__}", code="RPR-K020")
+        self._emit_advance(body, block_name, step, bs, block,
+                           done=("_st[l] = 'done'", "continue"))
         body.put("_st[l] = 'active'")
-        em.put(f"def {fname}(ls, _st):")
+        # a step that can neither stall, finish nor branch sends every
+        # lane to the same next position: queue them all at once
+        routes = [i for i, line in enumerate(body.lines) if "_nx[" in line]
+        bulk = None
+        if len(routes) == 1 and not any("continue" in line
+                                        for line in body.lines):
+            bulk = body.lines.pop(routes[0]).strip()
+        em.put(f"def {fname}(ls, _st, _nx):")
         em.indent += 1
         em.put("for l in ls:")
         em.indent += 1
-        for line in self.lane_aliases(body.lines):
-            em.put(line)
-        em.indent -= 2
+        self._lane_head(em, self.lane_aliases(body.lines, head=True))
+        em.indent -= 1
         em.lines.extend(body.lines)
+        if bulk is not None:
+            em.put(bulk.replace(".append(l)", ".extend(ls)"))
+        em.indent -= 1
         em.put("")
         return fname
 
@@ -713,123 +774,17 @@ class _SchedCompiler:
         finally:
             self.ov = None
 
-        rdy_tbl = ", ".join(f"{s}: {f}" for s, f in rdy_fns.items())
-        ex_tbl = ", ".join(f"{s}: {f}" for s, f in ex_fns.items())
         fname = f"_pipe{fid}"
         ok = ps.ok.name if ps.ok is not None else None
-        em.put(f"_p{fid}rd = {{{rdy_tbl}}}")
-        em.put(f"_p{fid}ex = {{{ex_tbl}}}")
-        if self.batched:
-            return self._pipe_protocol_batched(em, fid, fname, block_name,
-                                               ps, rdy_fns, ex_fns, ok)
-        em.put(f"def {fname}():")
-        em.indent += 1
-        em.put(f"# pipelined block {block_name!r} "
-               f"(ii={ps.ii}, latency={ps.latency})")
-        em.put("inflight = P._inflight")
-        em.put(f"_rd = _p{fid}rd")
-        em.put(f"_ex = _p{fid}ex")
-        # a handshake stuck mid-pipeline stalls everything
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("if it['squashed']:")
-        em.indent += 1
-        em.put("continue")
-        em.indent -= 1
-        em.put("r = _rd.get(it['stage'])")
-        em.put("if r is not None and not r(it['overlay']):")
-        em.indent += 1
-        em.put("return 'stalled'")
-        em.indent -= 2
-        # initiation: starvation skips this cycle's initiation (a bubble)
-        em.put("new_iter = None")
-        em.put(f"if not P._draining and P._since_init + 1 >= {ps.ii}:")
-        em.indent += 1
-        em.put("o = {}")
-        rdy0 = rdy_fns.get(0)
-        if rdy0 is not None:
-            em.put(f"if {rdy0}(o):")
-            em.indent += 1
-            em.put("new_iter = {'stage': 0, 'overlay': o, "
-                   "'squashed': False}")
-            em.indent -= 1
-            em.put("elif not inflight:")
-            em.indent += 1
-            em.put("return 'stalled'  # nothing to advance: pipeline idles")
-            em.indent -= 1
-        else:
-            em.put("new_iter = {'stage': 0, 'overlay': o, "
-                   "'squashed': False}")
-        em.indent -= 1
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("if it['squashed']:")
-        em.indent += 1
-        em.put("continue")
-        em.indent -= 1
-        em.put("f = _ex.get(it['stage'])")
-        em.put("if f is not None:")
-        em.indent += 1
-        em.put("f(it['overlay'])")
-        em.indent -= 2
-        em.put("if new_iter is not None:")
-        em.indent += 1
-        ex0 = ex_fns.get(0)
-        if ex0 is not None:
-            em.put(f"{ex0}(new_iter['overlay'])")
-        if ok is not None:
-            em.put(f"if (new_iter['overlay'][{ok!r}] if {ok!r} in "
-                   f"new_iter['overlay'] else E.get({ok!r}, 0)) == 0:")
-            em.indent += 1
-            em.put("new_iter['squashed'] = True")
-            em.put("P._draining = True")
-            em.indent -= 1
-            em.put("else:")
-            em.indent += 1
-            em.put("P.iterations_started += 1")
-            em.indent -= 1
-        else:
-            em.put("P.iterations_started += 1")
-        em.put("inflight.append(new_iter)")
-        em.put("P._since_init = 0")
-        em.indent -= 1
-        em.put("else:")
-        em.indent += 1
-        em.put("P._since_init += 1")
-        em.indent -= 1
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("it['stage'] += 1")
-        em.indent -= 1
-        em.put(f"P._inflight = [it for it in inflight if it['stage'] < "
-               f"{ps.latency} and not it['squashed']]")
-        # commit end-of-cycle register/memory writes
-        em.put("_pel = P._pending_env")
-        em.put("if _pel:")
-        em.indent += 1
-        em.put("for name, value in _pel:")
-        em.indent += 1
-        em.put("E[name] = value")
-        em.indent -= 1
-        em.put("_pel.clear()")
-        em.indent -= 1
-        em.put("_pml = P._pending_mem")
-        em.put("if _pml:")
-        em.indent += 1
-        em.put("_mems = P.memories")
-        em.put("for mem_name, idx, value in _pml:")
-        em.indent += 1
-        em.put("_mems[mem_name][idx] = value")
-        em.indent -= 1
-        em.put("_pml.clear()")
-        em.indent -= 1
-        em.put("if P._draining and not P._inflight:")
-        em.indent += 1
-        em.put(f"P._enter_block({ps.exit_block!r})")
-        em.indent -= 1
-        em.put("return 'active'")
-        em.indent -= 1
-        em.put("")
+        if any(stage > 0 for stage in rdy_fns):
+            rdy_tbl = ", ".join(f"{s}: {f}" for s, f in rdy_fns.items())
+            em.put(f"_p{fid}rd = {{{rdy_tbl}}}")
+        # stage -> exec function (None where a stage has no operations)
+        ex_tbl = "".join(f"{ex_fns.get(stage)}, "
+                         for stage in range(ps.latency))
+        em.put(f"_p{fid}ex = ({ex_tbl})")
+        self._pipe_protocol(em, fid, fname, block_name, ps, rdy_fns,
+                            ex_fns, ok, stage_ops.get(0, ()))
         return fname
 
     def _emit_stage_fn(self, em: _Emitter, fname: str, comment: str | None,
@@ -851,62 +806,123 @@ class _SchedCompiler:
         em.lines.extend(body.lines)
         em.put("")
 
-    def _pipe_protocol_batched(self, em: _Emitter, fid: int, fname: str,
-                               block_name: str, ps, rdy_fns, ex_fns,
-                               ok) -> str:
-        """Lane-looped initiation/squash/drain protocol. Each lane replays
-        exactly the scalar compiled protocol against its own ``_inflight``
-        list; a stalling lane parks (status slot) without blocking
-        siblings."""
-        em.put(f"def {fname}(ls, _st):")
+    def _idle_guard(self, em: _Emitter, ps, stage0: list[Instr],
+                    fail: str | tuple, aliased: bool = False) -> None:
+        """An idle pipeline whose initiation is starved stalls without
+        touching any state: test stage 0's handshakes inline (the overlay
+        is empty, so they read registers directly). ``aliased`` binds
+        the lane's channel aliases inside the guard, so a busy lane pays
+        nothing for them."""
+        guard = _Emitter()
+        guard.indent = em.indent + 1
+        for instr in stage0:
+            self.ready_check(guard, instr, fail=fail)
+        if not guard.lines:
+            return
+        # _since_init never goes negative: ii <= 1 always initiates
+        ready = ("" if ps.ii <= 1
+                 else f" and P._since_init + 1 >= {ps.ii}")
+        em.put(f"if not inflight and not P._draining{ready}:")
+        if aliased:
+            em.indent += 1
+            for line in self.lane_aliases(guard.lines):
+                if line != "P = _PN[l]":  # bound
+                    em.put(line)
+            em.indent -= 1
+        em.lines.extend(guard.lines)
+
+    def _pipe_protocol(self, em: _Emitter, fid: int, fname: str,
+                       block_name: str, ps, rdy_fns, ex_fns, ok,
+                       stage0: list[Instr]) -> None:
+        """The pipeline tick function: the interpreter's initiation /
+        squash / drain protocol with the stage instruction lists resolved
+        at compile time. Batched, each lane replays it against its own
+        ``_inflight`` list and a stalling lane parks (status slot)
+        without blocking its siblings."""
+        lane = self.batched
+        args = "l, " if lane else ""
+        # a batched lane stays in the pipeline unless it drains out: the
+        # staying lanes are queued for the next tick all at once
+        stall = (("_st[l] = 'stalled'", "P.stall_cycles += 1", "continue")
+                 if lane else ("return 'stalled'",))
+
+        def put_all(lines) -> None:
+            for line in lines:
+                em.put(line)
+
+        if lane:
+            em.put(f"def {fname}(ls, _st, _nx):")
+        else:
+            em.put(f"def {fname}():")
         em.indent += 1
         em.put(f"# pipelined block {block_name!r} "
-               f"(ii={ps.ii}, latency={ps.latency}) [batched]")
-        em.put(f"_rd = _p{fid}rd")
-        em.put(f"_ex = _p{fid}ex")
-        em.put("for l in ls:")
-        em.indent += 1
-        em.put("P = _PN[l]")
-        em.put("E = _EN[l]")
+               f"(ii={ps.ii}, latency={ps.latency})"
+               + (" [batched]" if lane else ""))
+        if lane:
+            em.put("_gone = []")
+            em.put("for l in ls:")
+            em.indent += 1
+            self._lane_head(em, ["P = _PN[l]"])
         em.put("inflight = P._inflight")
-        # a handshake stuck mid-pipeline stalls everything (in this lane)
-        em.put("_ok = True")
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("if it['squashed']:")
-        em.indent += 1
-        em.put("continue")
-        em.indent -= 1
-        em.put("r = _rd.get(it['stage'])")
-        em.put("if r is not None and not r(l, it['overlay']):")
-        em.indent += 1
-        em.put("_ok = False")
-        em.put("break")
-        em.indent -= 2
-        em.put("if not _ok:")
-        em.indent += 1
-        em.put("_st[l] = 'stalled'")
-        em.put("continue")
-        em.indent -= 1
-        # initiation: starvation skips this cycle's initiation (a bubble)
-        em.put("new_iter = None")
-        em.put(f"if not P._draining and P._since_init + 1 >= {ps.ii}:")
-        em.indent += 1
-        em.put("o = {}")
-        rdy0 = rdy_fns.get(0)
-        if rdy0 is not None:
-            em.put(f"if {rdy0}(l, o):")
+        if 0 in rdy_fns:
+            self._idle_guard(em, ps, stage0, stall, aliased=lane)
+        if lane:
+            em.put("E = _EN[l]")
+        # a handshake stuck mid-pipeline stalls everything; an in-flight
+        # iteration is past stage 0 when a tick starts, so only later
+        # stages' handshakes can stall it
+        if any(stage > 0 for stage in rdy_fns):
+            em.put("_ok = True")
+            em.put("for it in inflight:")
             em.indent += 1
-            em.put("new_iter = {'stage': 0, 'overlay': o, "
-                   "'squashed': False}")
-            em.indent -= 1
-            em.put("elif not inflight:")
+            em.put("if it['squashed']:")
             em.indent += 1
-            em.put("_st[l] = 'stalled'  # nothing to advance: lane idles")
             em.put("continue")
             em.indent -= 1
+            em.put(f"r = _p{fid}rd.get(it['stage'])")
+            em.put(f"if r is not None and not r({args}it['overlay']):")
+            em.indent += 1
+            em.put("_ok = False")
+            em.put("break")
+            em.indent -= 2
+            em.put("if not _ok:")
+            em.indent += 1
+            put_all(stall)
+            em.indent -= 1
+        # initiation: starvation skips this cycle's initiation (a bubble);
+        # _since_init never goes negative, so ii <= 1 always may initiate
+        em.put("new_iter = None")
+        ready = "" if ps.ii <= 1 else f" and P._since_init + 1 >= {ps.ii}"
+        em.put(f"if not P._draining{ready}:")
+        em.indent += 1
+        if 0 in rdy_fns:
+            # stage 0's handshakes against the new (empty) overlay, i.e.
+            # the registers; inline unless several must short-circuit
+            check = _Emitter()
+            check.indent = em.indent
+            for instr in stage0:
+                self.ready_check(check, instr, fail="_go = False")
+            if sum(line.lstrip().startswith("if not") for line
+                   in check.lines) == 1:
+                em.put("_go = True")
+                if lane:
+                    for line in self.lane_aliases(check.lines):
+                        if line not in ("P = _PN[l]", "E = _EN[l]"):
+                            em.put(line)
+                em.lines.extend(check.lines)
+                em.put("if _go:")
+            else:
+                em.put(f"if {rdy_fns[0]}({args}{{}}):")
+            em.indent += 1
+            em.put("new_iter = {'stage': 0, 'overlay': {}, "
+                   "'squashed': False}")
+            em.indent -= 1
+            em.put("elif not inflight:  # nothing to advance: idle")
+            em.indent += 1
+            put_all(stall)
+            em.indent -= 1
         else:
-            em.put("new_iter = {'stage': 0, 'overlay': o, "
+            em.put("new_iter = {'stage': 0, 'overlay': {}, "
                    "'squashed': False}")
         em.indent -= 1
         em.put("for it in inflight:")
@@ -915,16 +931,16 @@ class _SchedCompiler:
         em.indent += 1
         em.put("continue")
         em.indent -= 1
-        em.put("f = _ex.get(it['stage'])")
+        em.put(f"f = _p{fid}ex[it['stage']]")
         em.put("if f is not None:")
         em.indent += 1
-        em.put("f(l, it['overlay'])")
+        em.put(f"f({args}it['overlay'])")
         em.indent -= 2
         em.put("if new_iter is not None:")
         em.indent += 1
         ex0 = ex_fns.get(0)
         if ex0 is not None:
-            em.put(f"{ex0}(l, new_iter['overlay'])")
+            em.put(f"{ex0}({args}new_iter['overlay'])")
         if ok is not None:
             em.put(f"if (new_iter['overlay'][{ok!r}] if {ok!r} in "
                    f"new_iter['overlay'] else E.get({ok!r}, 0)) == 0:")
@@ -945,20 +961,22 @@ class _SchedCompiler:
         em.indent += 1
         em.put("P._since_init += 1")
         em.indent -= 1
+        # every iteration moves one stage on; finished and squashed ones
+        # leave the pipeline
+        em.put("_keep = []")
         em.put("for it in inflight:")
         em.indent += 1
         em.put("it['stage'] += 1")
-        em.indent -= 1
-        em.put(f"P._inflight = [it for it in inflight if it['stage'] < "
-               f"{ps.latency} and not it['squashed']]")
-        # commit end-of-cycle register/memory writes (this lane only)
+        em.put(f"if it['stage'] < {ps.latency} and not it['squashed']:")
+        em.indent += 1
+        em.put("_keep.append(it)")
+        em.indent -= 2
+        em.put("P._inflight = _keep")
+        # commit end-of-cycle register/memory writes
         em.put("_pel = P._pending_env")
         em.put("if _pel:")
         em.indent += 1
-        em.put("for name, value in _pel:")
-        em.indent += 1
-        em.put("E[name] = value")
-        em.indent -= 1
+        em.put("E.update(_pel)  # in order: a later write wins")
         em.put("_pel.clear()")
         em.indent -= 1
         em.put("_pml = P._pending_mem")
@@ -971,14 +989,26 @@ class _SchedCompiler:
         em.indent -= 1
         em.put("_pml.clear()")
         em.indent -= 1
-        em.put("if P._draining and not P._inflight:")
+        em.put("if P._draining and not _keep:")
         em.indent += 1
         em.put(f"P._enter_block({ps.exit_block!r})")
+        exit_pos = (ps.exit_block if ps.exit_block in self.fsched.pipelines
+                    else (ps.exit_block, 0))
+        self._route(em, exit_pos)
+        if lane:
+            em.put("_gone.append(l)")
         em.indent -= 1
-        em.put("_st[l] = 'active'")
-        em.indent -= 2
+        if lane:
+            em.put("_st[l] = 'active'")
+            em.indent -= 1
+            em.put("if _gone:")
+            em.put("    ls = [l for l in ls if l not in _gone]")
+            em.put("if ls:")
+            em.put(f"    _nx[{fname}].extend(ls)")
+        else:
+            em.put("return 'active'")
+        em.indent -= 1
         em.put("")
-        return fname
 
     # ---- whole schedule ---------------------------------------------------------
 
@@ -1009,6 +1039,7 @@ class _SchedCompiler:
             em.put("def _build_batched(bx):")
             em.indent += 1
             em.put("_PN = bx.lanes")
+            em.put("_INTERP = bx._interp_lanes")
             em.put("_EN = [p.env for p in _PN]")
             em.put("_EXTN = [p.ext_funcs.get('ext_hdl', _IDENT) "
                    "for p in _PN]")
@@ -1240,6 +1271,11 @@ class BatchedProcessExec:
             pe.backend = "batched"  # shadow the class attr for stats
         self.name = self.lanes[0].name
         self.n = n
+        # lanes queued per generated function for the next tick, and the
+        # lane set / status list they were placed for (see tick_lanes)
+        self._groups: dict = {}
+        self._lane_ids = self._statuses = None
+        self._n_lanes = 0
         source = batched_sched_source(fsched, cache=cache)
         self.source = source
         code = compile_source(source,
@@ -1255,47 +1291,63 @@ class BatchedProcessExec:
                 f"{self.name}: cannot bind channel {exc} during batched "
                 "specialization", code="RPR-K021") from exc
 
+    def _position(self, pe: ProcessExec):
+        """The generated function for ``pe``'s schedule position, or the
+        interpreted fallback where the codegen emitted none."""
+        if pe.mode == "seq":
+            fns = self._seq_fns.get(pe.block)
+            return self._interp_lanes if fns is None else fns[pe.step]
+        fn = self._pipe_fns.get(pe.block)
+        return self._interp_lanes if fn is None else fn
+
+    def _interp_lanes(self, ls, statuses: list, nx) -> None:
+        """Same contract as a generated function, one interpreted tick per
+        lane: for lanes parked where the codegen emitted no function."""
+        for l in ls:
+            pe = self.lanes[l]
+            if pe.done:
+                statuses[l] = "done"
+                continue
+            pe.cycles += 1
+            st = pe._tick_seq() if pe.mode == "seq" else pe._tick_pipe()
+            statuses[l] = st
+            if st == "stalled":
+                pe.stall_cycles += 1
+            if not pe.done:
+                nx[self._position(pe)].append(l)
+
     def tick_lanes(self, lane_ids, statuses: list) -> None:
         """Advance every lane in ``lane_ids`` one clock.
 
         ``statuses[l]`` receives ``'active'`` / ``'stalled'`` / ``'done'``
         — exactly what ``ProcessExec.tick()`` would have returned for that
         lane. Lanes are grouped by schedule position so each generated
-        function is entered once per cycle, however many lanes sit there.
+        function is entered once per cycle, however many lanes sit there;
+        each function queues its lanes for the function of their next
+        position, so from the second tick on no lane is looked up. Pass a
+        new ``lane_ids`` list whenever the lane set changes or a lane was
+        retired from outside (``quarantine``): that, or a new
+        ``statuses`` list, places every lane afresh and drops the done
+        ones.
         """
-        lanes = self.lanes
-        groups: dict = {}
-        for l in lane_ids:
-            pe = lanes[l]
-            if pe.done:
-                statuses[l] = "done"
-                continue
-            pe.cycles += 1
-            if pe.mode == "seq":
-                fns = self._seq_fns.get(pe.block)
-                if fns is None:  # interpreted fallback, per lane
-                    statuses[l] = pe._tick_seq()
-                    if statuses[l] == "stalled":
-                        pe.stall_cycles += 1
-                    continue
-                key = fns[pe.step]
-            else:
-                key = self._pipe_fns.get(pe.block)
-                if key is None:
-                    statuses[l] = pe._tick_pipe()
-                    if statuses[l] == "stalled":
-                        pe.stall_cycles += 1
-                    continue
-            grp = groups.get(key)
-            if grp is None:
-                groups[key] = [l]
-            else:
-                grp.append(l)
+        groups = self._groups
+        if (lane_ids is not self._lane_ids or statuses is not self._statuses
+                or len(lane_ids) != self._n_lanes):
+            groups = defaultdict(list)
+            for l in lane_ids:
+                pe = self.lanes[l]
+                if pe.done:
+                    statuses[l] = "done"
+                else:
+                    groups[self._position(pe)].append(l)
+            self._lane_ids = lane_ids
+            self._statuses = statuses
+            self._n_lanes = len(lane_ids)
+        nx = defaultdict(list)
         for fn, ls in groups.items():
-            fn(ls, statuses)
-            for l in ls:
-                if statuses[l] == "stalled":
-                    lanes[l].stall_cycles += 1
+            fn(ls, statuses, nx)
+        # a lane that finished is queued nowhere; its status stays 'done'
+        self._groups = nx
 
     def tick_all(self) -> list:
         """Convenience: tick every lane, returning the status list."""

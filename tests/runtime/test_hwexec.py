@@ -199,3 +199,32 @@ void prod(co_stream input, co_stream output) {
     assert hw.hung
     assert hw.reason == "timeout"
     assert hw.watchdog is not None and hw.watchdog.reason == "timeout"
+
+
+PASS_SRC = """
+void q(co_stream input, co_stream output) {
+  uint32 x;
+  while (co_stream_read(input, &x)) {
+    co_stream_write(output, x);
+  }
+  co_stream_close(output);
+}
+"""
+
+
+def test_64k_word_loopback_returns_its_input():
+    """A long stimulus streams through every feeder in linear time (the
+    feeders are deques) and comes back unchanged."""
+    from repro.runtime.hwexec import LaneSpec, execute_batch
+
+    data = [(i * 2654435761) % (1 << 32) for i in range(65_536)]
+    app = Application("feed64k")
+    app.add_c_process(PASS_SRC, name="q")
+    app.feed("in", "q.input", data=data)
+    app.sink("out", "q.output")
+    image = synthesize(app, assertions="none")
+    hw = execute(image, sim_backend="compiled")
+    assert hw.completed and hw.outputs["out"] == data
+    lane = execute_batch(image, [LaneSpec()])[0]
+    assert lane.completed and lane.outputs["out"] == data
+    assert software_sim(app).outputs["out"] == data

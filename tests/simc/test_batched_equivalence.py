@@ -23,6 +23,7 @@ from repro.faults.runtime import (
 )
 from repro.runtime.hwexec import LaneSpec, execute, execute_batch
 from repro.runtime.watchdog import WatchdogConfig
+from repro.simc.bench import _hw_signature
 
 TEXT = b"In-circuit!"
 LEVELS = ("none", "unoptimized", "optimized")
@@ -41,32 +42,6 @@ def image_for(app_name: str, level: str):
     if key not in _images:
         _images[key] = synthesize(APPS[app_name](), assertions=level)
     return _images[key]
-
-
-def full_signature(res) -> dict:
-    """Everything a batched lane must reproduce from the scalar run.
-
-    ``process_stats`` drops the ``backend`` tag — that is the one field
-    that legitimately differs between the executors.
-    """
-    return {
-        "completed": res.completed,
-        "cycles": res.cycles,
-        "reason": res.reason,
-        "outputs": {k: list(v) for k, v in sorted(res.outputs.items())},
-        "stderr": list(res.stderr),
-        "failures": sorted((name, site.ordinal, site.expr_text)
-                           for name, site in res.failures),
-        "aborted_by": repr(res.aborted_by),
-        "first_failure_cycle": res.first_failure_cycle,
-        "quarantined": sorted(res.quarantined),
-        "watchdog": repr(res.watchdog),
-        "process_stats": {
-            name: {k: v for k, v in st.items() if k != "backend"}
-            for name, st in sorted(res.process_stats.items())
-        },
-        "fault_events": list(res.fault_events),
-    }
 
 
 def scalar_run(image, feed=None, faults=(), watchdog=None):
@@ -103,7 +78,7 @@ def test_lane_count_sweep_loopback(n):
     assert len(batch) == n
     for i, res in enumerate(batch):
         ref = scalar_run(image, feed=feeds[i])
-        assert full_signature(res) == full_signature(ref), f"lane {i}"
+        assert _hw_signature(res) == _hw_signature(ref), f"lane {i}"
     # sanity on content, not just self-consistency: clean lanes loop back
     # their feed, the zero-word lane aborts on the stage assertion
     assert batch[0].outputs["drain"] == expected_output(feeds[0])
@@ -116,9 +91,9 @@ def test_lane_count_sweep_loopback(n):
 def test_example_apps_all_levels(app_name, level):
     image = image_for(app_name, level)
     batch = execute_batch(image, [LaneSpec(), LaneSpec()])
-    ref = full_signature(execute(image))
+    ref = _hw_signature(execute(image))
     for i, res in enumerate(batch):
-        assert full_signature(res) == ref, f"lane {i}"
+        assert _hw_signature(res) == ref, f"lane {i}"
         assert res.completed
     for st in batch[0].process_stats.values():
         assert st["backend"] in ("batched", "interp")
@@ -143,7 +118,7 @@ def test_per_lane_fault_injection(level):
         res = batch[i]
         events_batched = list(res.fault_events)
         ref = scalar_run(image, faults=faults)
-        assert full_signature(res) == full_signature(ref), f"lane {i}"
+        assert _hw_signature(res) == _hw_signature(ref), f"lane {i}"
         assert events_batched == list(ref.fault_events)
     # the clean lane is unaffected by its faulted siblings
     assert batch[0].completed
@@ -162,7 +137,7 @@ def test_watchdog_reason_per_lane():
     for i, res in enumerate(batch):
         ref = scalar_run(image, feed=feeds[i], watchdog=cfg)
         assert res.reason == ref.reason, f"lane {i}"
-        assert full_signature(res) == full_signature(ref), f"lane {i}"
+        assert _hw_signature(res) == _hw_signature(ref), f"lane {i}"
     # the 16-word lane blows the 40-cycle budget while its short sibling
     # completes — per-lane classification, not batch-wide
     assert not batch[0].completed and batch[0].watchdog is not None
@@ -175,9 +150,9 @@ def test_interp_backend_uses_lanewise_fallback():
     image = image_for("loopback", "optimized")
     batch = execute_batch(image, [LaneSpec(), LaneSpec()],
                           sim_backend="interp")
-    ref = full_signature(execute(image, sim_backend="interp"))
+    ref = _hw_signature(execute(image, sim_backend="interp"))
     for res in batch:
-        assert full_signature(res) == ref
+        assert _hw_signature(res) == ref
         for st in res.process_stats.values():
             assert st["backend"] == "interp"
 
