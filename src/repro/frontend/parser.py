@@ -1,22 +1,22 @@
 """pycparser-based parser for the synthesizable C dialect.
 
-Pipeline: :func:`repro.frontend.cpp.preprocess` → prolog injection
-(typedefs for ``intN``/``uintN`` and ``co_stream`` so pycparser's lexer
-classifies them as type names) → ``pycparser.CParser``.
+Pipeline: :func:`repro.frontend.cpp.preprocess` → :class:`_DialectParser`,
+a ``pycparser.CParser`` whose file scope starts with the dialect's type
+names (``intN``/``uintN`` and ``co_stream``) already declared as typedefs,
+so the lexer classifies them as type names without any injected source.
 
-The prolog is followed by a ``#line`` marker resetting coordinates, so all
-AST coordinates refer to the user's original source — assertion error codes
-(file name + line number) must match the unpreprocessed file exactly, as in
-ANSI-C ``assert``.
+The preprocessed text is parsed as is, so all AST coordinates refer to the
+user's original source — assertion error codes (file name + line number)
+must match the unpreprocessed file exactly, as in ANSI-C ``assert``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NoReturn
 
-import pycparser
-from pycparser import c_ast
+from pycparser import c_ast, c_parser
 
 from repro.diagnostics.sink import DiagnosticSink
 from repro.diagnostics.span import Span
@@ -28,23 +28,46 @@ from repro.frontend.cpp import PreprocessResult, preprocess
 STREAM_TYPE_NAME = "co_stream"
 
 
-def _build_prolog() -> str:
-    lines = []
-    for name in ctypes_.all_dialect_typedef_names():
-        # The underlying builtin chosen here is irrelevant; only the typedef
-        # *name* matters to the lexer, and our own type table supplies widths.
-        lines.append(f"typedef unsigned int {name};")
-    lines.append(f"typedef int {STREAM_TYPE_NAME};")
-    return "\n".join(lines)
+class _DialectParser(c_parser.CParser):
+    """``CParser`` that knows the dialect's type names before any source.
+
+    ``CParser.parse`` opens every translation unit with
+    ``self._scope_stack = [dict()]``; the property below seeds that file
+    scope with the dialect typedef names. They live in the file scope itself,
+    as if declared by ``typedef`` at the top of the file: a file-scope
+    ``int uint8;`` is still a redeclaration error and a block-scope
+    ``int uint8;`` still shadows the type.
+    """
+
+    _FILE_SCOPE = dict.fromkeys(
+        [*ctypes_.all_dialect_typedef_names(), STREAM_TYPE_NAME], True)
+
+    @property
+    def _scope_stack(self) -> list[dict[str, bool]]:
+        return self._scopes
+
+    @_scope_stack.setter
+    def _scope_stack(self, stack: list[dict[str, bool]]) -> None:
+        if len(stack) == 1 and not stack[0]:  # a new translation unit
+            stack = [dict(self._FILE_SCOPE)]
+        self._scopes = stack
+
+    def _parse_error(self, msg: str, coord: object) -> NoReturn:
+        # some pycparser errors carry only the file name; point them at the
+        # offending token so the diagnostic keeps its line and column
+        if coord is None or isinstance(coord, str):
+            tok = self._peek()
+            if tok is not None:
+                coord = self._tok_coord(tok)
+        super()._parse_error(msg, coord)
 
 
-_PROLOG = _build_prolog()
-_PARSER = pycparser.CParser()
-#: pycparser's generated LALR parser keeps mutable state on the instance
-#: (symbol stack, lexer position), so concurrent parses through the shared
-#: instance corrupt each other. The serve daemon synthesizes on a thread
-#: pool; serializing just the parse step keeps it correct — parsing is a
-#: small slice of synthesis wall time.
+_PARSER = _DialectParser()
+#: pycparser's parser keeps mutable state on the instance (scope stack,
+#: token stream), so concurrent parses through the shared instance corrupt
+#: each other. The serve daemon synthesizes on a thread pool; serializing
+#: just the parse step keeps it correct — parsing is a small slice of
+#: synthesis wall time.
 _PARSER_LOCK = threading.Lock()
 
 
@@ -83,14 +106,10 @@ def parse_source(
     """
     sink = sink if sink is not None else DiagnosticSink(strict=True)
     pre = preprocess(source, defines=defines, filename=filename, sink=sink)
-    full = f'{_PROLOG}\n#line 1 "{filename}"\n{pre.text}'
     try:
         with _PARSER_LOCK:
-            ast = _PARSER.parse(full, filename=filename)
-    except Exception as exc:  # pycparser's ParseError module moved across
-        # releases (plyparser -> c_parser); match by name to stay compatible
-        if type(exc).__name__ != "ParseError":
-            raise
+            ast = _PARSER.parse(pre.text, filename=filename)
+    except c_parser.ParseError as exc:
         # pycparser formats errors as "file:line:col: message"; recover the
         # coordinates into a Span instead of burying them in the text
         span, message = Span.parse_prefix(str(exc))
