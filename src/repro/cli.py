@@ -849,7 +849,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the scenario grid")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="synthesis cache directory (one image per level)")
+                   help="synthesis cache directory, reused across runs "
+                        "and nodes (each run synthesizes one image per "
+                        "level with or without it)")
     p.add_argument("--sim-backend", default="compiled",
                    choices=("interp", "compiled"),
                    help="simulation backend for scenario execution")
@@ -861,7 +863,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--store", default=None, metavar="DIR",
                    help="journal cells into this resumable result store")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell timeout")
+                   help="per-cell timeout (bounds a cell's execution; the "
+                        "one image per level that runtime-fault cells "
+                        "share is synthesized up front, unbounded)")
     p.add_argument("--no-resume", action="store_true",
                    help="with --store: discard previous results")
     p.add_argument("--json", action="store_true",

@@ -221,7 +221,7 @@ def _replay_campaign(bundle: FailureBundle) -> list:
     try:
         _run_one((target.watchdog, app, wanted[0],
                   ctx.get("level", "optimized"), golden,
-                  bool(ctx.get("nabort", False)), options, None))
+                  bool(ctx.get("nabort", False)), options, None, None))
     except Exception as exc:
         return diagnostics_from_exception(exc)
     return []

@@ -42,7 +42,7 @@ from repro.faults.runtime import (
     StuckAtBit,
 )
 from repro.ir.ops import COMPARISONS, OpKind
-from repro.runtime.hwexec import execute
+from repro.runtime.hwexec import HardwareImage, execute
 from repro.runtime.swsim import software_sim
 from repro.runtime.taskgraph import Application
 from repro.runtime.watchdog import HANG_REASONS, WatchdogConfig
@@ -505,17 +505,18 @@ def _synthesize_cached(
     options: SynthesisOptions | None,
     cache_root: str | None,
 ):
-    """Synthesize one campaign configuration through the lab cache.
+    """Synthesize one campaign configuration, through the lab cache when
+    ``cache_root`` is set.
 
-    Scenarios without translation faults share one image per level, so a
-    multi-scenario campaign synthesizes each level once and every other
-    scenario at that level is a cache hit (runtime faults are injected at
-    execute time and do not key the image).
-
-    Misses fill under the cache's lease (one fill per key across all
-    concurrent workers *and* nodes sharing the cache directory) and
+    :func:`run_campaign` calls this once per image that several cells
+    share — scenarios without translation faults share one image per
+    level, because runtime faults are injected at execute time and do not
+    key the image — so a campaign synthesizes each level once with or
+    without a cache directory. The cache adds reuse across runs and
+    nodes: misses fill under the cache's lease (one fill per key across
+    all concurrent workers *and* nodes sharing the cache directory) and
     reuse per-process artifacts incrementally, so N campaign shards
-    cold-starting the same levels no longer synthesize them N times.
+    cold-starting the same levels do not synthesize them N times.
     """
     from repro.lab.cache import SynthesisCache, cache_key
     from repro.lab.incremental import synthesize_incremental
@@ -542,24 +543,45 @@ def _synthesize_cached(
     return image
 
 
-def _run_one(args: tuple) -> RunOutcome:
-    """One (scenario, level) execution — module-level and tuple-packed so
-    it fans out through :class:`repro.lab.executor.LabExecutor` workers."""
-    (watchdog, app, scenario, level, golden, nabort, options,
-     cache_root) = args
+def _resolve_image(
+    app: Application,
+    level: str,
+    scenario: Scenario,
+    nabort: bool,
+    options: SynthesisOptions | None,
+    cache_root: str | None,
+) -> HardwareImage | None:
+    """The image one cell runs on, or None when the scenario's translation
+    fault found nothing to break at this level (e.g. the targeted
+    comparison was optimized away): nothing is injected, and the cell is
+    :func:`_not_injected`."""
     try:
-        image = _synthesize_cached(app, level, scenario, nabort, options,
-                                   cache_root)
+        return _synthesize_cached(app, level, scenario, nabort, options,
+                                  cache_root)
     except FaultError:
-        # the fault's selector found nothing at this level (e.g. the
-        # targeted comparison was optimized away): nothing was injected
-        return RunOutcome(
-            scenario=scenario.name, level=level, classification=BENIGN,
-            reason="not-injected", cycles=0,
-        )
-    result = execute(
-        image, watchdog=watchdog, faults=scenario.runtime_faults
+        return None
+
+
+def _image_groups(pending: list[tuple[Scenario, str]]) -> list[list[int]]:
+    """Indices into ``pending`` grouped by the image their cells run on:
+    same level and translation faults (runtime faults are injected at
+    execute time and do not key the image)."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for idx, (sc, lv) in enumerate(pending):
+        groups.setdefault((lv, repr(sorted(sc.ir_faults.items()))),
+                          []).append(idx)
+    return list(groups.values())
+
+
+def _not_injected(scenario: Scenario, level: str) -> RunOutcome:
+    return RunOutcome(
+        scenario=scenario.name, level=level, classification=BENIGN,
+        reason="not-injected", cycles=0,
     )
+
+
+def _classified(scenario: Scenario, level: str, result,
+                golden: dict) -> RunOutcome:
     classification, latency = classify_outcome(result, golden)
     return RunOutcome(
         scenario=scenario.name,
@@ -574,6 +596,26 @@ def _run_one(args: tuple) -> RunOutcome:
     )
 
 
+def _run_one(args: tuple) -> RunOutcome:
+    """One (scenario, level) execution — module-level and tuple-packed so
+    it fans out through :class:`repro.lab.executor.LabExecutor` workers.
+
+    ``image`` is the campaign's shared image for this cell, or None to
+    synthesize the cell's own here (translation-fault scenarios, replay).
+    """
+    (watchdog, app, scenario, level, golden, nabort, options,
+     cache_root, image) = args
+    if image is None:
+        image = _resolve_image(app, level, scenario, nabort, options,
+                               cache_root)
+        if image is None:
+            return _not_injected(scenario, level)
+    result = execute(
+        image, watchdog=watchdog, faults=scenario.runtime_faults
+    )
+    return _classified(scenario, level, result, golden)
+
+
 def _batched_outcomes(
     target: CampaignTarget,
     app: Application,
@@ -583,7 +625,6 @@ def _batched_outcomes(
     options: SynthesisOptions | None,
     cache_root: str | None,
     batch_lanes: int,
-    sim_backend: str | None = None,
 ) -> list[RunOutcome]:
     """Execute pending (scenario, level) cells lane-parallel.
 
@@ -597,10 +638,6 @@ def _batched_outcomes(
     from repro.runtime.hwexec import LaneSpec, execute_batch
 
     outcomes: dict[int, RunOutcome] = {}
-    groups: dict[tuple[str, str], list[int]] = {}
-    for idx, (sc, lv) in enumerate(pending):
-        key = (lv, repr(sorted(sc.ir_faults.items())))
-        groups.setdefault(key, []).append(idx)
 
     def harness_error(idx: int, exc: Exception) -> RunOutcome:
         from repro.diagnostics.core import Diagnostic
@@ -618,50 +655,32 @@ def _batched_outcomes(
             diagnostics=(diag,),
         )
 
-    for idxs in groups.values():
-        first_sc, level = pending[idxs[0]]
+    for idxs in _image_groups(pending):
+        scenario, level = pending[idxs[0]]
         try:
-            image = _synthesize_cached(app, level, first_sc, nabort,
-                                       options, cache_root)
-        except FaultError:
-            for idx in idxs:
-                sc, lv = pending[idx]
-                outcomes[idx] = RunOutcome(
-                    scenario=sc.name, level=lv, classification=BENIGN,
-                    reason="not-injected", cycles=0,
-                )
-            continue
+            image = _resolve_image(app, level, scenario, nabort, options,
+                                   cache_root)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             for idx in idxs:
                 outcomes[idx] = harness_error(idx, exc)
+            continue
+        if image is None:
+            for idx in idxs:
+                outcomes[idx] = _not_injected(*pending[idx])
             continue
         for start in range(0, len(idxs), batch_lanes):
             chunk = idxs[start:start + batch_lanes]
             specs = [LaneSpec(faults=pending[i][0].runtime_faults)
                      for i in chunk]
             try:
-                results = execute_batch(
-                    image, specs, watchdog=target.watchdog,
-                    sim_backend=sim_backend,
-                )
+                results = execute_batch(image, specs,
+                                        watchdog=target.watchdog)
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 for i in chunk:
                     outcomes[i] = harness_error(i, exc)
                 continue
             for i, result in zip(chunk, results):
-                sc, lv = pending[i]
-                classification, latency = classify_outcome(result, golden)
-                outcomes[i] = RunOutcome(
-                    scenario=sc.name,
-                    level=lv,
-                    classification=classification,
-                    reason=result.reason,
-                    cycles=result.cycles,
-                    detection_latency=latency,
-                    failures=len(result.failures),
-                    quarantined=tuple(result.quarantined),
-                    events=tuple(result.fault_events),
-                )
+                outcomes[i] = _classified(*pending[i], result, golden)
     return [outcomes[i] for i in range(len(pending))]
 
 
@@ -692,9 +711,12 @@ def run_campaign(
     degradation) for hanging scenarios. ``jobs`` fans the (scenario,
     level) grid out across worker processes through the lab executor;
     outcomes are collected in submission order, so the detection matrix
-    for a given seed is identical at any job count. ``cache_root`` points
-    at a :mod:`repro.lab.cache` directory so repeated levels synthesize
-    once.
+    for a given seed is identical at any job count. Cells that share an
+    image (scenarios without translation faults, at one level) run on one
+    synthesis per campaign, handed to the workers with the cell; only
+    translation-fault cells synthesize in the worker. ``cache_root``
+    points at a :mod:`repro.lab.cache` directory, which adds reuse across
+    runs and nodes.
 
     A cell whose *worker* fails (as opposed to a fault being injected) is
     recorded as a ``harness-error`` outcome with structured diagnostics
@@ -708,7 +730,10 @@ def run_campaign(
     (:class:`repro.lab.shard.ShardSpec`) restricts this invocation to one
     deterministic K/N slice of the grid, journaled to its own run
     directory; ``repro merge`` folds the slices back together.
-    ``retry``/``timeout``/``hedge`` configure executor fault tolerance.
+    ``retry``/``timeout``/``hedge`` configure executor fault tolerance
+    per cell: ``timeout`` bounds a cell's execution, and its synthesis
+    only for translation-fault cells — the shared images are synthesized
+    in the calling process before any cell starts, unbounded.
 
     ``batch_lanes > 1`` switches execution to the in-process batched
     simulator: cells sharing an image (same level and translation faults)
@@ -798,11 +823,6 @@ def run_campaign(
 
     pending = [(sc, lv) for sc, lv in cells
                if f"{sc.name}@{lv}" not in resumed]
-    grid = [
-        (target.watchdog, app, scenario, level, golden, nabort, options,
-         cache_root)
-        for scenario, level in pending
-    ]
     executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry,
                            hedge=hedge)
 
@@ -864,6 +884,28 @@ def run_campaign(
         for (scenario, level), outcome in zip(pending, batched):
             settle(scenario, level, outcome, 1)
     else:
+        # an image shared by several cells is synthesized here, once,
+        # before the grid starts and so outside the per-cell timeout; a
+        # group whose synthesis raised leaves its cells to synthesize
+        # their own, so each records the failure with its diagnostics,
+        # retries and bundle
+        shared: dict[int, HardwareImage] = {}
+        for idxs in _image_groups(pending):
+            if len(idxs) < 2:
+                continue
+            scenario, level = pending[idxs[0]]
+            try:
+                image = _resolve_image(app, level, scenario, nabort,
+                                       options, cache_root)
+            except Exception:  # noqa: BLE001 - each cell records its own
+                continue
+            if image is not None:
+                shared.update(dict.fromkeys(idxs, image))
+        grid = [
+            (target.watchdog, app, scenario, level, golden, nabort, options,
+             cache_root, shared.get(idx))
+            for idx, (scenario, level) in enumerate(pending)
+        ]
         for oc in executor.map(_run_one, grid):
             scenario, level = pending[oc.index]
             if not oc.ok:

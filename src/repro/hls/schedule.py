@@ -142,6 +142,17 @@ class FunctionSchedule:
     config: ScheduleConfig
     blocks: dict[str, BlockSchedule] = field(default_factory=dict)
     pipelines: dict[str, object] = field(default_factory=dict)
+    #: the simc code-cache key part, computed on first use
+    #: (:func:`repro.simc.schedgen.schedule_digest`)
+    _digest: str | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        """Drop the memoized digest when pickled: it recomputes
+        deterministically, and excluding it keeps an image's pickle
+        byte-stable whether or not it was executed before the store."""
+        state = self.__dict__.copy()
+        state["_digest"] = None
+        return state
 
     def state_count(self) -> int:
         """Total FSM states (pipelined regions count their stages once)."""

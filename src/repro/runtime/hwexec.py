@@ -86,6 +86,14 @@ class HardwareImage:
     #: execute() can still override per run
     sim_backend: str = "compiled"
 
+    def __repr__(self) -> str:
+        # the field-wise repr spells out every process's IR and schedule;
+        # callers that key on repr (the lab executor's task token) need
+        # only which image it is
+        return (f"HardwareImage(app={self.app.name!r}, "
+                f"assertion_level={self.assertion_level!r}, "
+                f"nabort={self.nabort}, processes={sorted(self.compiled)})")
+
     def decode_failure(self, stream: str, word: int) -> list[tuple[str, AssertionSite]]:
         decode = self.assert_decode.get(stream)
         if decode is None:

@@ -37,6 +37,7 @@ from repro.ir.instr import Branch, Instr, Jump, Return
 from repro.ir.ops import OpKind
 from repro.ir.values import Const, Temp, Value
 from repro.utils.bitops import mask, truncate
+from repro.utils.idgen import stable_fingerprint
 
 from .codecache import cached_source, compile_source
 from .rtlgen import _Emitter, _sext_src
@@ -1132,6 +1133,19 @@ def _schedule_digest(fsched: FunctionSchedule) -> str:
     return "\n".join(parts)
 
 
+def schedule_digest(fsched: FunctionSchedule) -> str:
+    """Fingerprint of :func:`_schedule_digest`, computed once per schedule
+    object: the simc code-cache key part for ``fsched``.
+
+    A synthesized schedule is never mutated, so every executor built from
+    it (each ``execute()`` of one image) reuses the first digest.
+    """
+    if fsched._digest is None:
+        fp = stable_fingerprint(_schedule_digest(fsched))
+        fsched._digest = f"{fp:016x}"
+    return fsched._digest
+
+
 def generate_sched_source(fsched: FunctionSchedule) -> str:
     """Generate (uncached) compiled cycle-model source for ``fsched``."""
     return _SchedCompiler(fsched).generate()
@@ -1141,7 +1155,7 @@ def sched_exec_source(fsched: FunctionSchedule, cache=None) -> str:
     """Cached variant of :func:`generate_sched_source`."""
     return cached_source(
         "sched",
-        (_schedule_digest(fsched),),
+        (schedule_digest(fsched),),
         lambda: generate_sched_source(fsched),
         cache=cache,
     )
@@ -1165,7 +1179,7 @@ def batched_sched_source(fsched: FunctionSchedule, cache=None) -> str:
     """
     return cached_source(
         "sched-batch",
-        (_schedule_digest(fsched),),
+        (schedule_digest(fsched),),
         lambda: generate_batched_sched_source(fsched),
         cache=cache,
     )
