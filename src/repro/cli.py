@@ -896,7 +896,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="content-addressed synthesis cache directory")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-point timeout")
+                   help="per-point timeout (bounds a point's evaluation; an "
+                        "app that several points share is built once up "
+                        "front, unbounded)")
     p.add_argument("--no-resume", action="store_true",
                    help="discard previous results for this sweep")
     p.add_argument("--validate-lanes", type=int, default=0, metavar="N",

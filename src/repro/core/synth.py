@@ -54,7 +54,6 @@ from repro.hls.compiler import CompiledProcess, compile_process
 from repro.hls.constraints import HLSConfig
 from repro.ir.instr import AssertionSite
 from repro.ir.transform import eliminate_dead_code
-from repro.ir.verify import verify_function
 from repro.runtime.hwexec import FailStreamDecode, HardwareImage
 from repro.runtime.taskgraph import Application, ProcessDef
 
@@ -216,7 +215,6 @@ def synth_process(
             replicate_arrays(func)
         plans = list(res.checkers)
     eliminate_dead_code(func)
-    verify_function(func)
 
     cfg = config or pd.config or HLSConfig()
     if fault_spec:

@@ -73,12 +73,17 @@ def compile_process(
 ) -> CompiledProcess:
     """Compile one process to a scheduled, bound hardware description.
 
-    The input function is cloned before fault injection, so the caller's IR
-    (used for software simulation) is never mutated.
+    The input function is verified, then cloned before fault injection, so
+    the caller's IR (used for software simulation) is never mutated; a
+    faulted clone is verified again.
     """
     config = config or HLSConfig()
-    hw = apply_faults(func, config.faults) if config.faults else func.clone()
-    verify_function(hw)
+    verify_function(func)
+    if config.faults:
+        hw = apply_faults(func, config.faults)
+        verify_function(hw)
+    else:
+        hw = func.clone()
     sched = schedule_function(hw, config.schedule)
     binding = bind_function(sched)
     return CompiledProcess(hw_func=hw, schedule=sched, binding=binding,

@@ -20,8 +20,10 @@ Properties:
 * **thread-safe** — one handle may be shared across threads (the serve
   daemon's request pool hammers a single warm handle); get/put/evict and
   the stats counters are serialized by an internal lock;
-* **bounded** — an LRU sweep (by access time) evicts the oldest entries
-  beyond ``max_entries``;
+* **bounded** — each put counts the stored entries (one directory
+  listing); only a put that leaves more than ``max_entries`` runs the LRU
+  sweep (by access time), which evicts the oldest entries down to 7/8 of
+  ``max_entries``, so a full store does not sweep on every put;
 * **observable** — hit/miss/store/eviction counters are kept per handle
   and surfaced in sweep manifests and progress lines.
 
@@ -364,7 +366,8 @@ class SynthesisCache:
             return obj
 
     def put(self, key: str, obj) -> None:
-        """Atomically store ``obj`` under ``key`` and run the LRU sweep."""
+        """Atomically store ``obj`` under ``key``; sweep the store when it
+        is over ``max_entries``."""
         with self._lock:
             if self.root is None:
                 return
@@ -381,7 +384,8 @@ class SynthesisCache:
                     pass
                 raise
             self.stats.stores += 1
-            self._evict()
+            if self._count() > self.max_entries:
+                self._evict(self._low_water)
 
     def put_process(self, key: str, artifact) -> None:
         """Store one process artifact (same atomic path as :meth:`put`)."""
@@ -585,7 +589,24 @@ class SynthesisCache:
                 pass
         return live
 
-    def _evict(self) -> None:
+    @property
+    def _low_water(self) -> int:
+        """What an over-budget put trims the store to: 7/8 of
+        ``max_entries`` (the next sweep is then an eighth of the budget
+        away), but never below the entry that put just stored."""
+        return min(self.max_entries, max(1, self.max_entries * 7 // 8))
+
+    def _count(self) -> int:
+        """Stored entries (``*.pkl``; in-flight ``*.tmp`` writes excluded)."""
+        return sum(1 for name in os.listdir(self.root / "objects")
+                   if name.endswith(".pkl"))
+
+    def _evict(self, target: int | None = None) -> None:
+        """LRU sweep: unlink the oldest entries (by mtime) until at most
+        ``target`` (default ``max_entries``) remain. Entries under a live
+        fill lease are skipped, and dead leases found along the way are
+        reaped."""
+        target = self.max_entries if target is None else target
         entries = []
         protected = self._live_lease_keys()
         for p in self.root.glob("objects/*.pkl"):
@@ -594,7 +615,7 @@ class SynthesisCache:
             except OSError:
                 continue  # concurrently evicted by another handle
         entries.sort()
-        over = len(entries) - self.max_entries
+        over = len(entries) - target
         for _, victim in list(entries):
             if over <= 0:
                 break
@@ -614,7 +635,7 @@ class SynthesisCache:
         with self._lock:
             if self.root is None:
                 return 0
-            return sum(1 for _ in self.root.glob("objects/*.pkl"))
+            return self._count()
 
     def clear(self) -> None:
         with self._lock:

@@ -247,7 +247,7 @@ def _lane_signature(result) -> dict:
 
 
 def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
-                          validate_lanes: int = 0) -> dict:
+                          validate_lanes: int = 0, app=None) -> dict:
     """Evaluate one point through an existing cache handle.
 
     This is the in-process reuse seam: sweep workers call it with a fresh
@@ -272,8 +272,13 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
     ``partial_rebuild`` for the incremental work and counts a
     lease-followed fill as a ``cache_hit`` (the point was not
     synthesized here).
+
+    ``app`` is the point's already built Application (:func:`run_sweep`
+    builds an app that several points share once); ``None`` builds it
+    here from ``point.app``.
     """
-    app = build_app(point.app)
+    if app is None:
+        app = build_app(point.app)
     key = cache_key(app, point.level, point.options, point.device)
     t0 = time.monotonic()
     before = cache.stats.snapshot()
@@ -323,14 +328,17 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
 def evaluate_point(args: tuple) -> dict:
     """Worker entry: evaluate one point through the synthesis cache.
 
-    ``args`` is ``(point, cache_root)`` or ``(point, cache_root,
-    validate_lanes)``; module-level and tuple-packed so it pickles into
-    ProcessPool workers. Returns a JSON-able record.
+    ``args`` is ``(point, cache_root)``, ``(point, cache_root,
+    validate_lanes)`` or ``(point, cache_root, validate_lanes, app)``
+    (``app`` the point's built Application, or None to build it here);
+    module-level and tuple-packed so it pickles into ProcessPool workers.
+    Returns a JSON-able record.
     """
     point, cache_root, *rest = args
     validate_lanes = rest[0] if rest else 0
+    app = rest[1] if len(rest) > 1 else None
     return evaluate_point_cached(point, SynthesisCache(cache_root),
-                                 validate_lanes=validate_lanes)
+                                 validate_lanes=validate_lanes, app=app)
 
 
 def point_bundle_context(point: SweepPoint) -> tuple[dict, str | None]:
@@ -357,6 +365,31 @@ def point_bundle_context(point: SweepPoint) -> tuple[dict, str | None]:
 
 
 # ---- the driver -------------------------------------------------------------
+
+
+def _shared_apps(points: list[SweepPoint]) -> list:
+    """The built Application of each of ``points`` whose app another point
+    also uses (one build per app), else None.
+
+    Points are grouped by ``repr`` of their :class:`AppSpec`: its params
+    may hold lists (JSON feed data from the serve daemon), which do not
+    hash. A build that raises leaves its points at None, so each builds
+    its own app and records its own failure, retries and bundle.
+    """
+    groups: dict[str, list[int]] = {}
+    for idx, p in enumerate(points):
+        groups.setdefault(repr(p.app), []).append(idx)
+    apps: list = [None] * len(points)
+    for idxs in groups.values():
+        if len(idxs) < 2:
+            continue
+        try:
+            app = build_app(points[idxs[0]].app)
+        except Exception:  # noqa: BLE001 - each point records its own
+            continue
+        for idx in idxs:
+            apps[idx] = app
+    return apps
 
 
 @dataclass
@@ -441,6 +474,13 @@ def run_sweep(
     against a scalar run (journaled as ``lane_check``); such runs get
     their own ``-lanesN`` run directory so a plain sweep's journal is
     never mistaken for a validated one.
+
+    Every app that two or more pending points use is built once, here in
+    the calling process before the grid starts; its points get that
+    object (pickled per point under ``jobs > 1``). Those shared builds
+    run outside ``timeout``, retries and hedging, which bound only what
+    each point runs. A shared build that raises leaves its points to
+    build their own app, so the failure is recorded per point.
     """
     out = sys.stderr if progress is None else progress
     store = ResultStore(store_root)
@@ -574,7 +614,8 @@ def run_sweep(
 
     try:
         executor.map(evaluate_point,
-                     [(p, cache_root, validate_lanes) for p in pending],
+                     [(p, cache_root, validate_lanes, app)
+                      for p, app in zip(pending, _shared_apps(pending))],
                      on_result=on_result)
     except KeyboardInterrupt:
         run.write_manifest(manifest("interrupted", time.monotonic() - t0))

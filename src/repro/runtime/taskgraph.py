@@ -112,6 +112,13 @@ class Application:
         self.taps: dict[str, TapDef] = {}
         self.nabort = False
 
+    def __repr__(self) -> str:
+        # the default repr embeds a memory address; the lab executor keys
+        # its retry jitter and chaos rolls on repr(item), and sweep items
+        # carry the app, so the repr must depend on content only
+        return (f"Application(name={self.name!r}, "
+                f"processes={sorted(self.processes)})")
+
     # ---- construction --------------------------------------------------------
 
     def add_c_process(

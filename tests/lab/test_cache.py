@@ -179,6 +179,68 @@ def test_lru_eviction_bounds_entry_count(tmp_path):
     assert cache.get("k4") == 4
 
 
+def count_sweeps(monkeypatch, cache):
+    """Log the target of every ``_evict`` call ``cache`` makes."""
+    calls = []
+    real = cache._evict
+
+    def counting(target=None):
+        calls.append(target)
+        return real(target)
+
+    monkeypatch.setattr(cache, "_evict", counting)
+    return calls
+
+
+def aged_puts(cache, keys):
+    """Store ``keys`` oldest first, with mtimes a second apart and in the
+    past, so any later put is strictly the newest entry."""
+    import os
+    import time
+
+    base = time.time() - 10 * len(keys)
+    for i, key in enumerate(keys):
+        cache.put(key, i)
+        os.utime(cache._path(key), (base + i, base + i))
+
+
+def test_put_below_budget_runs_no_sweep(tmp_path, monkeypatch):
+    cache = SynthesisCache(tmp_path / "c", max_entries=8)
+    sweeps = count_sweeps(monkeypatch, cache)
+    for i in range(8):
+        cache.put(f"k{i}", i)
+    cache.put("k7", "overwrite")  # replacing an entry adds none
+    assert sweeps == []
+    assert len(cache) == 8 and cache.stats.evictions == 0
+
+
+def test_put_over_budget_trims_to_low_water_mark(tmp_path, monkeypatch):
+    cache = SynthesisCache(tmp_path / "c", max_entries=16)
+    aged_puts(cache, [f"k{i:02d}" for i in range(16)])
+    sweeps = count_sweeps(monkeypatch, cache)
+    cache.put("new", "newest")
+    # 17 entries: one sweep, down to 7/8 of the budget (oldest first)
+    assert sweeps == [14]
+    assert len(cache) == 14 and cache.stats.evictions == 3
+    assert all(cache.get(f"k{i:02d}") is None for i in range(3))
+    assert cache.get("k03") == 3 and cache.get("new") == "newest"
+    # the next two puts fit under the budget again without a sweep
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert sweeps == [14] and len(cache) == 16
+    cache.put("c", 3)
+    assert sweeps == [14, 14] and len(cache) == 14
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 8])
+def test_len_stays_within_budget_after_every_put(tmp_path, budget):
+    cache = SynthesisCache(tmp_path / "c", max_entries=budget)
+    for i in range(4 * budget + 3):
+        cache.put(f"k{i}", i)
+        assert 1 <= len(cache) <= budget
+    assert cache.stats.evictions == 4 * budget + 3 - len(cache)
+
+
 def test_cache_shared_across_processes(tmp_path):
     """A second OS process sees entries stored by the first (satellite c)."""
     root = tmp_path / "shared"
@@ -217,7 +279,9 @@ def test_one_handle_is_safe_under_concurrent_threads(tmp_path):
             barrier.wait()
             for i in range(n_rounds):
                 cache.put(f"shared{i % 4}", [tid, i])
+                assert len(cache) <= cache.max_entries
                 cache.put(f"t{tid}-{i}", i)  # churn forces evictions
+                assert len(cache) <= cache.max_entries
                 got = cache.get(f"shared{i % 4}")
                 assert got is None or isinstance(got, list)
         except Exception as exc:  # noqa: BLE001 - recorded for the assert
